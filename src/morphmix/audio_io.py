@@ -13,6 +13,7 @@ from .errors import (
     InvalidWaveform,
     IoFailure,
     MalformedHeader,
+    NonFiniteInput,
     TruncatedData,
     UnsupportedEncoding,
 )
@@ -35,6 +36,10 @@ class Waveform:
         if data.ndim != 2:
             raise InvalidWaveform(f"expected 1-D or 2-D sample array, got ndim={data.ndim}")
         data = np.ascontiguousarray(data)
+        if data.base is not None:
+            # a view: its base could still be written through another reference,
+            # and results cached per Waveform rely on the samples never changing
+            data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         if self.sample_rate <= 0:
@@ -173,4 +178,11 @@ def to_mono(w):
     """Average stereo channels to one; mono is returned unchanged."""
     if w.n_channels == 1:
         return w
-    return Waveform(w.data.mean(axis=0, dtype=np.float64).astype(np.float32), w.sample_rate)
+    mono = w.data.mean(axis=0, dtype=np.float64, keepdims=True)
+    return Waveform(mono.astype(np.float32), w.sample_rate)
+
+
+def require_finite(w, what="waveform"):
+    """Raise NonFiniteInput if any sample of w is NaN or infinite."""
+    if not np.isfinite(w.data).all():
+        raise NonFiniteInput(f"{what} has a non-finite sample")

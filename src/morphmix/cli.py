@@ -125,19 +125,19 @@ def cmd_embed_mock(args):
         return EXIT_USAGE
     out = store.EmbeddingStore(args.out_store)
     failures = 0
-    for wav_path in sorted(audio_dir.glob("*.wav")):
-        clip_id = wav_path.stem
-        try:
-            w = load_wav(wav_path)
-            emb = metrics.mock_embed(w, dim=args.dim)
-            out.put(clip_id, emb.values[None, :])
-            if args.latents:
-                lat = metrics.mock_latents(w, dim=args.latent_dim)
-                out.put(f"{clip_id}.latents", lat.data)
-        except MorphmixError as e:
-            failures += 1
-            print(f"failed {wav_path.name}: {e}", file=sys.stderr)
-    out.ensure_index()
+    with out.batch():
+        for wav_path in sorted(audio_dir.glob("*.wav")):
+            clip_id = wav_path.stem
+            try:
+                w = load_wav(wav_path)
+                emb = metrics.mock_embed(w, dim=args.dim)
+                out.put(clip_id, emb.values[None, :])
+                if args.latents:
+                    lat = metrics.mock_latents(w, dim=args.latent_dim)
+                    out.put(f"{clip_id}.latents", lat.data)
+            except MorphmixError as e:
+                failures += 1
+                print(f"failed {wav_path.name}: {e}", file=sys.stderr)
     print(f"{len(out.ids())} entries written")
     return EXIT_FAILURE if failures else EXIT_OK
 

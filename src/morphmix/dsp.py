@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .audio_io import Waveform
+from .audio_io import Waveform, require_finite
 from .errors import (
     EmptyInput,
     LengthMismatch,
@@ -222,6 +222,9 @@ def augment_pair(primary, secondary, mode, params=AugmentParams()):
         raise SampleRateMismatch(
             f"{primary.sample_rate} Hz vs {secondary.sample_rate} Hz; resampling is not performed"
         )
+    # one NaN would spread through every mix, envelope and FFT bin of the output
+    require_finite(primary, "primary")
+    require_finite(secondary, "secondary")
     secondary = loop_or_truncate(secondary, primary.n_samples)
 
     if mode is AugmentationMode.NONE:

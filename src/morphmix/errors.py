@@ -27,6 +27,10 @@ class InvalidWaveform(MorphmixError):
     """Waveform invariant violated (e.g. unequal channel lengths)."""
 
 
+class NonFiniteInput(MorphmixError):
+    """Waveform holds a NaN or infinite sample."""
+
+
 # --- DSP ---
 
 class EmptyInput(MorphmixError):

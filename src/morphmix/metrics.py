@@ -6,11 +6,13 @@ used to validate the compressibility score, and a deterministic mock
 embedder that stands in for neural encoders in tests and offline runs.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .audio_io import require_finite, to_mono
 from .errors import (
     BothNonpositive,
     ConstantInput,
@@ -249,8 +251,12 @@ def roc_auc(scores, labels):
 
 # --- deterministic mock embedder ---
 
+@functools.lru_cache(maxsize=32)
 def _mel_filterbank(n_bands, n_bins, sample_rate):
-    """Triangular mel filters over rfft bins, rows normalized to unit sum."""
+    """Triangular mel filters over rfft bins, rows normalized to unit sum.
+
+    Cached and read-only: every caller shares the returned array.
+    """
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + f / 700.0)
 
@@ -270,15 +276,31 @@ def _mel_filterbank(n_bands, n_bins, sample_rate):
         s = fb[i].sum()
         if s > 0:
             fb[i] /= s
+    fb.setflags(write=False)
     return fb
 
 
 _LOG_FLOOR = 1e-10
 
+# (waveform, (n_bands, frame, hop), frames) of the last _logmel_frames call.
+# With the default dims, mock_embed and mock_latents frame a clip identically,
+# so the second call reuses the first's STFT. Holding the waveform keeps its
+# id from being reused, and its data is read-only, so the frames stay valid.
+_last_logmel = None
+
 
 def _logmel_frames(w, n_bands, frame, hop):
-    from .audio_io import to_mono
+    """Log-mel power per frame, (n_frames, n_bands); a fresh array on every call."""
+    global _last_logmel
+    key = (n_bands, frame, hop)
+    last = _last_logmel
+    if last is None or last[0] is not w or last[1] != key:
+        last = (w, key, _compute_logmel_frames(w, n_bands, frame, hop))
+        _last_logmel = last
+    return last[2].copy()
 
+
+def _compute_logmel_frames(w, n_bands, frame, hop):
     x = to_mono(w).data[0].astype(np.float64)
     n_frames = max((len(x) - frame) // hop + 1, 0)
     if n_frames < 1:
@@ -301,6 +323,7 @@ def mock_embed(w, dim=64, frame=2048, hop=512):
     """
     if w.n_samples < 1:
         raise EmptyInput("cannot embed an empty waveform")
+    require_finite(w)
     frame = min(frame, max(w.n_samples, 16))
     hop = min(hop, frame)
     n_bands = max(dim // 2, 4)
@@ -322,6 +345,7 @@ def mock_embed(w, dim=64, frame=2048, hop=512):
 
 def mock_latents(w, dim=32, frame=2048, hop=512):
     """Deterministic per-frame log-mel latent matrix (stand-in for codec latents)."""
+    require_finite(w)
     if w.n_samples < frame + 2 * hop:
         raise TooShort(
             f"need at least {frame + 2 * hop} samples for 3 frames, got {w.n_samples}"

@@ -6,7 +6,9 @@ embedding is stored with T = 1; Gaussian statistics use T = D+1 rows
 (row 0 the mean, rows 1..D the covariance).
 """
 
+import contextlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -85,6 +87,7 @@ class EmbeddingStore:
     def __init__(self, root):
         self.root = Path(root)
         self._index = {}
+        self._batched = False
         index_path = self.root / self.INDEX
         if index_path.exists():
             with open(index_path, encoding="utf-8") as f:
@@ -108,19 +111,49 @@ class EmbeddingStore:
         return read_latents(self._path(entry_id), clip_id=entry_id)
 
     def put(self, entry_id, matrix):
-        """Write an entry and update the on-disk index."""
+        """Write an entry and update the on-disk index (at the end of a batch() block)."""
         self.root.mkdir(parents=True, exist_ok=True)
         filename = f"{entry_id}.mxeb"
         write_mxeb(self.root / filename, matrix)
         self._index[entry_id] = filename
-        self._flush()
+        if not self._batched:
+            self._flush()
 
-    def ensure_index(self):
-        """Write the index file even when no entries were added."""
+    @contextlib.contextmanager
+    def batch(self):
+        """Write the index once, on exit, for all puts inside the block.
+
+        The directory and a valid index exist from entry on, so the store can
+        be opened meanwhile; it lists the new entries only after the block
+        exits. The exit write runs even when the block raises.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
         self._flush()
+        self._batched = True
+        try:
+            yield self
+        finally:
+            self._batched = False
+            self._flush()
 
     def _flush(self):
-        with open(self.root / self.INDEX, "w", encoding="utf-8") as f:
-            json.dump({"entries": dict(sorted(self._index.items()))}, f, indent=2)
-            f.write("\n")
+        """Replace index.json atomically: readers see the old index or the new one."""
+        tmp = self.root / (self.INDEX + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(_index_json(self._index))
+        os.replace(tmp, self.root / self.INDEX)
+
+
+def _index_json(index):
+    """The bytes of json.dumps({"entries": sorted index}, indent=2) plus a newline.
+
+    json's indent path runs in pure Python. With flat string entries, these
+    separators give the same layout through the C encoder; the time saved
+    pays for the temp file and rename of the atomic write that every
+    unbatched put makes.
+    """
+    entries = dict(sorted(index.items()))
+    if not entries:
+        return '{\n  "entries": {}\n}\n'
+    items = json.dumps(entries, separators=(",\n    ", ": "))[1:-1]
+    return '{\n  "entries": {\n    ' + items + "\n  }\n}\n"

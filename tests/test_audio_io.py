@@ -141,3 +141,13 @@ def test_to_mono_idempotent(rng):
 def test_invalid_waveform():
     with pytest.raises(errors.InvalidWaveform):
         Waveform(np.zeros((1, 4), dtype=np.float32), 0)
+
+
+@pytest.mark.parametrize("view", [lambda b: b, lambda b: b[:4], lambda b: b.reshape(2, 4)])
+def test_waveform_samples_cannot_change(view):
+    buf = np.zeros(8, dtype=np.float32)
+    w = Waveform(view(buf), 48000)
+    with pytest.raises(ValueError):
+        w.data[0, 0] = 1.0
+    buf[0] = 1.0
+    assert w.data[0, 0] == 0.0

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from morphmix.audio_io import load_wav, save_wav
+from morphmix.audio_io import Waveform, load_wav, save_wav
 from morphmix.cli import main
-from morphmix.metrics import Embedding, gaussian_stats
-from morphmix.store import EmbeddingStore, write_gaussian_stats
+from morphmix.metrics import Embedding, gaussian_stats, mock_embed, mock_latents
+from morphmix.store import EmbeddingStore, write_gaussian_stats, write_mxeb
 
 from conftest import random_wave
 
@@ -103,6 +103,42 @@ def test_embed_mock_deterministic(tmp_path, wav_pair):
     assert main(["embed-mock", str(audio_dir), "--out-store", str(s2), "--latents"]) == 0
     for f in sorted(s1.iterdir()):
         assert f.read_bytes() == (s2 / f.name).read_bytes()
+
+
+def test_embed_mock_latents_matches_library_calls(tmp_path, rng):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    for name, channels, bits in (("a", 1, 16), ("b", 2, 24), ("c", 2, 32)):
+        save_wav(random_wave(rng, 9000, channels=channels), audio_dir / f"{name}.wav", bits)
+    out = tmp_path / "st"
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(out), "--latents"]) == 0
+    expect = tmp_path / "expect"
+    expect.mkdir()
+    for name in "abc":
+        path = audio_dir / f"{name}.wav"
+        # a fresh Waveform per call, so neither call can reuse the other's frames
+        write_mxeb(expect / f"{name}.mxeb", mock_embed(load_wav(path)).values[None, :])
+        write_mxeb(expect / f"{name}.latents.mxeb", mock_latents(load_wav(path)).data)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [p.name for p in expect.iterdir()] + ["index.json"])
+    for f in expect.iterdir():
+        assert (out / f.name).read_bytes() == f.read_bytes(), f.name
+
+
+@pytest.mark.parametrize("latents", [False, True])
+def test_embed_mock_non_finite_clip(tmp_path, rng, capsys, latents):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    save_wav(random_wave(rng, 9000), audio_dir / "a.wav", bit_depth=32)
+    data = random_wave(rng, 9000).data.copy()
+    data[0, 4500] = np.nan
+    save_wav(Waveform(data, 48000), audio_dir / "b.wav", bit_depth=32)
+    save_wav(random_wave(rng, 9000), audio_dir / "c.wav", bit_depth=32)
+    argv = ["embed-mock", str(audio_dir), "--out-store", str(tmp_path / "st")]
+    assert main(argv + (["--latents"] if latents else [])) == 1
+    assert "failed b.wav: " in capsys.readouterr().err
+    good = ["a", "a.latents", "c", "c.latents"] if latents else ["a", "c"]
+    assert EmbeddingStore(tmp_path / "st").ids() == good
 
 
 def test_embed_mock_empty_dir(tmp_path, capsys):

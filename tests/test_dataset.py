@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from morphmix import errors
-from morphmix.audio_io import save_wav
+from morphmix.audio_io import Waveform, save_wav
 from morphmix.dataset import (
     CAPTION_TEMPLATES,
     ManifestEntry,
@@ -188,6 +188,25 @@ def test_build_partial_failure(tmp_path):
     assert [e.id for e in entries] == ["pair000", "bad", "pair001"]
     assert entries[1].failed and "missing.wav" in entries[1].error
     assert not entries[0].failed and not entries[2].failed
+
+
+def test_build_non_finite_pair_is_an_error_entry(tmp_path):
+    pairs = _write_corpus(tmp_path, 3)
+    nan_path = tmp_path / "in" / "nan.wav"
+    data = random_wave(np.random.default_rng(3), 12000).data.copy()
+    data[0, 6000] = np.nan
+    save_wav(Waveform(data, 48000), nan_path, bit_depth=32)
+    pairs[1] = PairSpec("nan", str(nan_path), "x", pairs[1].secondary_path, "y")
+    manifests = []
+    for jobs in (1, 2):
+        out = tmp_path / f"out{jobs}"
+        entries = build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 4, out, jobs=jobs)
+        assert entries[1].error.startswith("NonFiniteInput:")
+        assert entries[1].audio_path == ""
+        assert not (out / "audio" / "nan.wav").exists()
+        assert not entries[0].failed and not entries[2].failed
+        manifests.append((out / "manifest.jsonl").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 def test_build_manifest_parses_back(tmp_path):

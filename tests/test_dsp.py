@@ -342,3 +342,14 @@ def test_augment_output_peak_bounded(rng):
         for mode in AugmentationMode:
             out = augment_pair(a, b, mode)
             assert np.max(np.abs(out.data)) <= 0.95 + 1e-6
+
+
+@pytest.mark.parametrize("mode", list(AugmentationMode))
+@pytest.mark.parametrize("which", ["primary", "secondary"])
+def test_augment_rejects_non_finite(rng, mode, which):
+    waves = {"primary": random_wave(rng, 4096), "secondary": random_wave(rng, 3000)}
+    data = waves[which].data.copy()
+    data[0, 100] = np.nan
+    waves[which] = Waveform(data, 48000)
+    with pytest.raises(errors.NonFiniteInput, match=which):
+        augment_pair(waves["primary"], waves["secondary"], mode)

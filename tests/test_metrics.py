@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphmix import errors
+from morphmix import errors, metrics
+from morphmix.audio_io import Waveform
 from morphmix.metrics import (
     DirectionalityParams,
     Embedding,
@@ -340,3 +341,53 @@ def test_mock_latents_stationary_sine_high_lcs():
 def test_mock_latents_too_short(rng):
     with pytest.raises(errors.TooShort):
         mock_latents(random_wave(rng, 1000), dim=16, frame=2048, hop=512)
+
+
+@pytest.mark.parametrize("fn", [mock_embed, mock_latents])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mock_rejects_non_finite(rng, fn, bad):
+    data = random_wave(rng, 8000).data.copy()
+    data[0, 4000] = bad
+    with pytest.raises(errors.NonFiniteInput):
+        fn(Waveform(data, 48000))
+
+
+def _count_logmel(monkeypatch):
+    computed = []
+    compute = metrics._compute_logmel_frames
+
+    def counting(w, n_bands, frame, hop):
+        computed.append((n_bands, frame, hop))
+        return compute(w, n_bands, frame, hop)
+
+    monkeypatch.setattr(metrics, "_compute_logmel_frames", counting)
+    return computed
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("dim, shared", [(64, True), (128, False)])
+def test_mock_latents_after_mock_embed_matches_uncached(rng, monkeypatch, channels, dim, shared):
+    w = random_wave(rng, 30000, channels=channels)
+    computed = _count_logmel(monkeypatch)
+    emb = mock_embed(w, dim=dim)
+    lat = mock_latents(w, dim=32)
+    # dim=64 frames with 32 bands, as latent_dim=32 does; dim=128 needs 64 bands
+    assert len(computed) == (1 if shared else 2)
+    # a new Waveform object never hits the memo: this is the uncached computation
+    fresh = lambda: Waveform(w.data.copy(), w.sample_rate)  # noqa: E731
+    assert np.array_equal(emb.values, mock_embed(fresh(), dim=dim).values)
+    assert np.array_equal(lat.data, mock_latents(fresh(), dim=32).data)
+
+
+def test_logmel_memo_returns_independent_copies(rng):
+    w = random_wave(rng, 8000)
+    first = metrics._logmel_frames(w, 32, 2048, 512)
+    expect = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(metrics._logmel_frames(w, 32, 2048, 512), expect)
+
+
+def test_mel_filterbank_cached_read_only():
+    fb = metrics._mel_filterbank(32, 1025, 48000)
+    assert metrics._mel_filterbank(32, 1025, 48000) is fb
+    assert not fb.flags.writeable

@@ -1,9 +1,12 @@
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from morphmix import errors
+from morphmix import errors, store as store_mod
 from morphmix.metrics import Embedding, GaussianStats, gaussian_stats
 from morphmix.store import (
     EmbeddingStore,
@@ -89,3 +92,54 @@ def test_store_missing_id(tmp_path):
     store = EmbeddingStore(tmp_path / "store")
     with pytest.raises(errors.MissingEmbedding):
         store.embedding("ghost")
+
+
+def test_store_index_bytes_and_no_temp_file(tmp_path):
+    store = EmbeddingStore(tmp_path / "store")
+    for entry_id in ("b", "a.latents", "a"):
+        store.put(entry_id, np.zeros((1, 4)))
+    entries = {"a": "a.mxeb", "a.latents": "a.latents.mxeb", "b": "b.mxeb"}
+    expect = json.dumps({"entries": entries}, indent=2) + "\n"
+    assert (tmp_path / "store" / "index.json").read_text(encoding="utf-8") == expect
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == \
+        ["a.latents.mxeb", "a.mxeb", "b.mxeb", "index.json"]
+
+
+@given(st.dictionaries(st.text(), st.text(), max_size=8))
+def test_index_json_matches_json_indent(index):
+    expect = json.dumps({"entries": dict(sorted(index.items()))}, indent=2) + "\n"
+    assert store_mod._index_json(index) == expect
+
+
+def test_store_batch_writes_index_on_exit(tmp_path, rng):
+    root = tmp_path / "store"
+    EmbeddingStore(root).put("old", rng.normal(size=(1, 4)))
+    store = EmbeddingStore(root)
+    with store.batch():
+        store.put("new1", rng.normal(size=(1, 4)))
+        store.put("new2", rng.normal(size=(3, 4)))
+        assert store.ids() == ["new1", "new2", "old"]
+        assert EmbeddingStore(root).ids() == ["old"]
+    reopened = EmbeddingStore(root)
+    assert reopened.ids() == ["new1", "new2", "old"]
+    assert reopened.latents("new2").data.shape == (3, 4)
+
+
+def test_store_batch_creates_readable_store_on_entry(tmp_path):
+    root = tmp_path / "fresh"
+    store = EmbeddingStore(root)
+    with store.batch():
+        assert EmbeddingStore(root).ids() == []
+    assert EmbeddingStore(root).ids() == []
+
+
+def test_store_batch_records_puts_before_an_exception(tmp_path, rng):
+    root = tmp_path / "store"
+    store = EmbeddingStore(root)
+    with pytest.raises(RuntimeError):
+        with store.batch():
+            store.put("first", rng.normal(size=(1, 4)))
+            store.put("second", rng.normal(size=(1, 4)))
+            raise RuntimeError("boom")
+    assert EmbeddingStore(root).ids() == ["first", "second"]
+    assert not (root / "index.json.tmp").exists()
