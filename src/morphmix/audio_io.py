@@ -1,9 +1,12 @@
 """RIFF/WAVE reading and writing with uniform float32 samples.
 
-Supports PCM 16-bit, PCM 24-bit and IEEE-float 32-bit, mono or stereo.
-Integer PCM is scaled by 2^(bits-1) so integer files round-trip exactly.
+Supports PCM 16-bit, PCM 24-bit and IEEE-float 32-bit, mono or stereo,
+under their own format tags or WAVE_FORMAT_EXTENSIBLE. Integer PCM is scaled
+by 2^(bits-1) so integer files round-trip exactly.
 """
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -20,6 +23,9 @@ from .errors import (
 
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
+_FMT_EXTENSIBLE = 0xFFFE
+# an extensible SubFormat GUID is a uint32 format tag followed by these 12 bytes
+_KSDATAFORMAT_TAIL = bytes.fromhex("0000 1000 8000 00aa00389b71")
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,16 @@ def _read_chunks(blob):
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
 
+def _extensible_subformat(path, fmt):
+    """The format tag named by a WAVE_FORMAT_EXTENSIBLE fmt chunk's SubFormat GUID."""
+    if len(fmt) < 40 or struct.unpack_from("<H", fmt, 16)[0] < 22:
+        raise MalformedHeader(f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk too short")
+    (tag,) = struct.unpack_from("<I", fmt, 24)
+    if fmt[28:40] != _KSDATAFORMAT_TAIL or tag not in (_FMT_PCM, _FMT_IEEE_FLOAT):
+        raise UnsupportedEncoding(f"{path}: extensible SubFormat {fmt[24:40].hex()} not supported")
+    return tag
+
+
 def load_wav(path):
     """Decode a WAV file into a Waveform.
 
@@ -83,6 +99,8 @@ def load_wav(path):
             if len(payload) < 16:
                 raise MalformedHeader(f"{path}: fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", payload, 0)
+            if fmt[0] == _FMT_EXTENSIBLE:
+                fmt = (_extensible_subformat(path, payload),) + fmt[1:]
         elif cid == b"data" and data is None:
             if len(payload) < size:
                 raise TruncatedData(
@@ -167,10 +185,15 @@ def save_wav(w, path, bit_depth=32):
         + b"data" + struct.pack("<I", len(payload)) + payload
         + (b"\x00" if len(payload) & 1 else b"")
     )
+    # write a temp file and rename it over path, so path holds the old file or the new one
+    tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(path, "wb") as f:
+        with open(tmp, "wb") as f:
             f.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        os.replace(tmp, path)
     except OSError as e:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise IoFailure(f"{path}: {e}") from e
 
 

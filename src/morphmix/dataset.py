@@ -9,6 +9,7 @@ draw sequence of any pair.
 import dataclasses
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -156,15 +157,15 @@ def sample_training_timestep(rng, entry):
     return float(w.t_start + (w.t_end - w.t_start) * rng.random())
 
 
+def read_jsonl(path):
+    """The objects of a JSON-lines file, one per non-blank line."""
+    with open(path, encoding="utf-8") as f:
+        return [json.loads(line) for line in f if line.strip()]
+
+
 def load_pairs(path):
     """Read a JSON-lines file of PairSpec objects."""
-    pairs = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                pairs.append(PairSpec(**json.loads(line)))
-    return pairs
+    return [PairSpec(**d) for d in read_jsonl(path)]
 
 
 def _build_one(pair, dist, window, params, seed, audio_dir):
@@ -218,18 +219,15 @@ def build_dataset(pairs, dist, window, params, seed, out_dir, jobs=1):
     else:
         entries = [_build_one(p, dist, window, params, seed, audio_dir) for p in pairs]
 
-    with open(out_dir / "manifest.jsonl", "w", encoding="utf-8") as f:
+    # a temp file renamed over the manifest: readers see the old manifest or the new one
+    tmp = out_dir / "manifest.jsonl.tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
         for entry in entries:
             json.dump(entry.to_dict(), f, sort_keys=True)
             f.write("\n")
+    os.replace(tmp, out_dir / "manifest.jsonl")
     return entries
 
 
 def load_manifest(path):
-    entries = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                entries.append(ManifestEntry.from_dict(json.loads(line)))
-    return entries
+    return [ManifestEntry.from_dict(d) for d in read_jsonl(path)]

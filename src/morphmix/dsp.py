@@ -105,14 +105,19 @@ def loop_or_truncate(w, target_len):
 def equal_power_mix(primary, secondary, epsilon=1e-8):
     """Sum primary with secondary rescaled to the primary's full-clip RMS (0 dB SNR)."""
     _check_compatible(primary, secondary)
+    mixed = primary.data.astype(np.float64) + _match_power(primary, secondary, epsilon)
+    return Waveform(mixed.astype(np.float32), primary.sample_rate)
+
+
+def _match_power(primary, secondary, epsilon):
+    """The secondary's samples in float64, scaled to the primary's full-clip RMS."""
     rp = full_rms(primary)
     rs = full_rms(secondary)
     if rp < epsilon:
         raise SilentPrimary(f"primary RMS {rp:g} below epsilon {epsilon:g}")
     if rs < epsilon:
         raise SilentSecondary(f"secondary RMS {rs:g} below epsilon {epsilon:g}")
-    mixed = primary.data.astype(np.float64) + (rp / rs) * secondary.data.astype(np.float64)
-    return Waveform(mixed.astype(np.float32), primary.sample_rate)
+    return secondary.data.astype(np.float64) * (rp / rs)
 
 
 def rms_envelope(w, frame_size=2048, hop=512):
@@ -233,30 +238,19 @@ def augment_pair(primary, secondary, mode, params=AugmentParams()):
         mix = equal_power_mix(primary, secondary, params.epsilon)
         env = rms_envelope(primary, params.rms_frame_size, params.rms_hop)
         out = apply_rms_envelope(env, mix, params.epsilon)
-    elif mode is AugmentationMode.SPECTRAL_ONLY:
-        out = spectral_interpolate(primary, _match_power(primary, secondary, params), params)
-    elif mode is AugmentationMode.BOTH:
-        comp = spectral_interpolate(primary, _match_power(primary, secondary, params), params)
-        env = rms_envelope(primary, params.rms_frame_size, params.rms_hop)
-        out = apply_rms_envelope(env, comp, params.epsilon)
+    elif mode in (AugmentationMode.SPECTRAL_ONLY, AugmentationMode.BOTH):
+        matched = Waveform(
+            _match_power(primary, secondary, params.epsilon).astype(np.float32),
+            secondary.sample_rate,
+        )
+        out = spectral_interpolate(primary, matched, params)
+        if mode is AugmentationMode.BOTH:
+            env = rms_envelope(primary, params.rms_frame_size, params.rms_hop)
+            out = apply_rms_envelope(env, out, params.epsilon)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     return peak_normalize(out, params.output_peak)
-
-
-def _match_power(primary, secondary, params):
-    """Scale the secondary to the primary's full-clip RMS."""
-    rp = full_rms(primary)
-    rs = full_rms(secondary)
-    if rp < params.epsilon:
-        raise SilentPrimary(f"primary RMS {rp:g} below epsilon {params.epsilon:g}")
-    if rs < params.epsilon:
-        raise SilentSecondary(f"secondary RMS {rs:g} below epsilon {params.epsilon:g}")
-    return Waveform(
-        (secondary.data.astype(np.float64) * (rp / rs)).astype(np.float32),
-        secondary.sample_rate,
-    )
 
 
 def _check_compatible(a, b):

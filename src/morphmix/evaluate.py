@@ -1,11 +1,12 @@
 """Corpus evaluation: prompt expansion, per-clip scoring, report rendering."""
 
 import io
-import json
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
+from .dataset import read_jsonl
 from .errors import BadTemplate, EmptyInput, MissingEmbedding, MorphmixError
 from .metrics import (
     DirectionalityParams,
@@ -106,34 +107,13 @@ def bundled_concept_pairs():
     Fifty inter-class pairs in the spirit of creative sound-design blends;
     illustrative fixtures, not a canonical benchmark set.
     """
-    from importlib import resources
-
-    path = resources.files("morphmix").joinpath("data/concept_pairs.jsonl")
-    return [
-        ConceptPair(d["x_label"], d["y_label"])
-        for d in (json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line)
-    ]
-
-
-def load_concept_pairs(path):
-    pairs = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                d = json.loads(line)
-                pairs.append(ConceptPair(d["x_label"], d["y_label"]))
-    return pairs
+    data = resources.files("morphmix").joinpath("data/concept_pairs.jsonl")
+    with resources.as_file(data) as path:
+        return [ConceptPair(d["x_label"], d["y_label"]) for d in read_jsonl(path)]
 
 
 def load_eval_clips(path):
-    clips = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                clips.append(EvalClip.from_dict(json.loads(line)))
-    return clips
+    return [EvalClip.from_dict(d) for d in read_jsonl(path)]
 
 
 def score_clip(clip, store, params=DirectionalityParams()):

@@ -1,43 +1,22 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
-
-Set MORPHMIX_DISABLE_NUMBA=1 to force the numpy path (useful for debugging
-and for the benchmark in benchmarks/bench_kernels.py). Both paths compute
-identical results in float64.
-"""
-
-import os
+"""Hot numeric kernels in vectorized numpy, computed in float64."""
 
 import numpy as np
 
-_DISABLE = os.environ.get("MORPHMIX_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-
-if not _DISABLE:
-    try:
-        from numba import njit
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
+# Always False: there is no compiled path. perfbench/run.py reports it in its environment.
+HAVE_NUMBA = False
 
 
-# --- numpy implementations ---
-
-def _frame_rms_numpy(x, frame_size, hop, n_frames):
-    # cumulative sum of squares gives each window sum in O(1);
-    # windows past the end are zero-padded, so the divisor stays frame_size
-    sq = np.zeros(len(x) + 1)
-    np.cumsum(x * x, out=sq[1:])
-    out = np.empty(n_frames)
+def frame_rms(x, frame_size, hop, n_frames):
+    """Per-frame RMS over windows [k*hop, k*hop+frame_size), zero-padded."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    # cumulative sum of squares gives each window sum in O(1); windows past
+    # the end are zero-padded, so the divisor stays frame_size
     n = len(x)
-    for k in range(n_frames):
-        start = k * hop
-        stop = min(start + frame_size, n)
-        if start >= n:
-            out[k] = 0.0
-        else:
-            out[k] = np.sqrt((sq[stop] - sq[start]) / frame_size)
-    return out
+    sq = np.zeros(n + 1)
+    np.cumsum(x * x, out=sq[1:])
+    starts = np.minimum(np.arange(n_frames) * hop, n)
+    stops = np.minimum(starts + frame_size, n)
+    return np.sqrt((sq[stops] - sq[starts]) / frame_size)
 
 
 def _gain_anchors(gains, frame_size, hop, n_samples):
@@ -68,12 +47,18 @@ def _gain_anchors(gains, frame_size, hop, n_samples):
     return xp, fp
 
 
-def _interp_anchors_numpy(xp, fp, n_samples):
+def interp_frame_gains(gains, frame_size, hop, n_samples):
+    """Expand per-frame gains to per-sample gains by linear interpolation."""
+    gains = np.ascontiguousarray(gains, dtype=np.float64)
+    xp, fp = _gain_anchors(gains, frame_size, hop, n_samples)
     return np.interp(np.arange(n_samples, dtype=np.float64), xp, fp)
 
 
-def _moving_average_numpy(x, window):
-    # centered window, truncated and renormalized at the edges
+def moving_average(x, window):
+    """Centered moving average of odd width, renormalized at the edges."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if window == 1:
+        return x.copy()
     half = window // 2
     n = len(x)
     cs = np.zeros(n + 1)
@@ -82,83 +67,3 @@ def _moving_average_numpy(x, window):
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half + 1, n)
     return (cs[hi] - cs[lo]) / (hi - lo)
-
-
-# --- numba implementations ---
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _frame_rms_numba(x, frame_size, hop, n_frames):
-        n = len(x)
-        out = np.empty(n_frames)
-        for k in range(n_frames):
-            start = k * hop
-            stop = min(start + frame_size, n)
-            acc = 0.0
-            for i in range(start, stop):
-                acc += x[i] * x[i]
-            out[k] = np.sqrt(acc / frame_size)
-        return out
-
-    @njit(cache=True)
-    def _interp_anchors_numba(xp, fp, n_samples):
-        # t is monotone, so a single advancing segment pointer suffices
-        n_anchors = len(xp)
-        out = np.empty(n_samples)
-        seg = 0
-        for t in range(n_samples):
-            if t <= xp[0]:
-                out[t] = fp[0]
-            elif t >= xp[n_anchors - 1]:
-                out[t] = fp[n_anchors - 1]
-            else:
-                while xp[seg + 1] < t:
-                    seg += 1
-                frac = (t - xp[seg]) / (xp[seg + 1] - xp[seg])
-                out[t] = fp[seg] * (1.0 - frac) + fp[seg + 1] * frac
-        return out
-
-    @njit(cache=True)
-    def _moving_average_numba(x, window):
-        n = len(x)
-        half = window // 2
-        cs = np.empty(n + 1)
-        cs[0] = 0.0
-        for i in range(n):
-            cs[i + 1] = cs[i] + x[i]
-        out = np.empty(n)
-        for i in range(n):
-            lo = max(i - half, 0)
-            hi = min(i + half + 1, n)
-            out[i] = (cs[hi] - cs[lo]) / (hi - lo)
-        return out
-
-
-def frame_rms(x, frame_size, hop, n_frames):
-    """Per-frame RMS over windows [k*hop, k*hop+frame_size), zero-padded."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _frame_rms_numba(x, frame_size, hop, n_frames)
-    return _frame_rms_numpy(x, frame_size, hop, n_frames)
-
-
-def interp_frame_gains(gains, frame_size, hop, n_samples):
-    """Expand per-frame gains to per-sample gains by linear interpolation."""
-    gains = np.ascontiguousarray(gains, dtype=np.float64)
-    xp, fp = _gain_anchors(gains, frame_size, hop, n_samples)
-    xp = np.ascontiguousarray(xp)
-    fp = np.ascontiguousarray(fp)
-    if HAVE_NUMBA:
-        return _interp_anchors_numba(xp, fp, n_samples)
-    return _interp_anchors_numpy(xp, fp, n_samples)
-
-
-def moving_average(x, window):
-    """Centered moving average of odd width, renormalized at the edges."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if window == 1:
-        return x.copy()
-    if HAVE_NUMBA:
-        return _moving_average_numba(x, window)
-    return _moving_average_numpy(x, window)

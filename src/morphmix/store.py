@@ -71,11 +71,17 @@ def write_gaussian_stats(path, stats):
 
 
 def read_gaussian_stats(path):
+    """Read stats written by write_gaussian_stats; the sample count is not stored.
+
+    The MXEB stats layout is D+1 rows of D values (the mean, then the
+    covariance), with no place for the count, and frechet_distance, the only
+    consumer of reference stats, never reads it. The result carries the
+    minimum valid count, 2.
+    """
     m = read_mxeb(path)
     t, d = m.shape
     if t != d + 1:
         raise BadFormat(f"{path}: stats need D+1 rows for D columns, got {t}x{d}")
-    # serialized stats do not carry the sample count; keep the minimum valid value
     return GaussianStats(m[0], 0.5 * (m[1:] + m[1:].T), count=2)
 
 

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from morphmix import errors
+from morphmix import audio_io, errors
 from morphmix.audio_io import Waveform, load_wav, save_wav, to_mono
 
 from conftest import make_wave, random_wave
@@ -109,6 +109,72 @@ def test_unsupported_encoding(tmp_path):
     with pytest.raises(errors.UnsupportedEncoding):
         load_wav(path)
 
+
+
+def extensible_copy(src, dst, subformat, fmt_len=40, cb_size=22):
+    """Rewrite src's fmt chunk as WAVE_FORMAT_EXTENSIBLE naming `subformat`."""
+    _, ch, sr, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", src.read_bytes(), 20)
+    guid = struct.pack("<I", subformat) + bytes.fromhex("0000 1000 8000 00aa00389b71")
+    fmt = struct.pack("<HHIIHH", 0xFFFE, ch, sr, byte_rate, block_align, bits)
+    fmt = (fmt + struct.pack("<HHI", cb_size, bits, 0) + guid)[:fmt_len]
+    data = data_chunk(src)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) & 1)
+    dst.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+@pytest.mark.parametrize("bits,channels,subformat", [(16, 1, 1), (24, 2, 1), (32, 2, 3)])
+def test_extensible_decodes_like_plain_tag(tmp_path, rng, bits, channels, subformat):
+    plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+    save_wav(random_wave(rng, 1001, channels=channels), plain, bit_depth=bits)
+    extensible_copy(plain, ext, subformat)
+    a, b = load_wav(plain), load_wav(ext)
+    assert np.array_equal(a.data, b.data)
+    assert a.sample_rate == b.sample_rate
+
+
+def test_extensible_rejects_other_subformat(tmp_path, rng):
+    plain, ext = tmp_path / "plain.wav", tmp_path / "alaw.wav"
+    save_wav(random_wave(rng, 100), plain, bit_depth=16)
+    extensible_copy(plain, ext, 6)  # A-law
+    with pytest.raises(errors.UnsupportedEncoding):
+        load_wav(ext)
+
+
+@pytest.mark.parametrize("fmt_len,cb_size", [(24, 22), (40, 0)])
+def test_extensible_short_fmt_chunk(tmp_path, rng, fmt_len, cb_size):
+    plain, ext = tmp_path / "plain.wav", tmp_path / "short.wav"
+    save_wav(random_wave(rng, 100), plain, bit_depth=16)
+    extensible_copy(plain, ext, 1, fmt_len=fmt_len, cb_size=cb_size)
+    with pytest.raises(errors.MalformedHeader):
+        load_wav(ext)
+
+
+def test_save_wav_failure_keeps_previous_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "a.wav"
+    save_wav(random_wave(rng, 1000), path, bit_depth=16)
+    before = path.read_bytes()
+
+    class HalfWriter:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, b):
+            self.f.write(b[:len(b) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(audio_io, "open", lambda p, mode: HalfWriter(open(p, mode)),
+                        raising=False)
+    with pytest.raises(errors.IoFailure):
+        save_wav(random_wave(rng, 2000), path, bit_depth=32)
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]
 
 def test_truncated_data(tmp_path):
     path = tmp_path / "t.wav"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from morphmix import errors
+from morphmix import dataset, errors
 from morphmix.audio_io import Waveform, save_wav
 from morphmix.dataset import (
     CAPTION_TEMPLATES,
@@ -215,6 +215,38 @@ def test_build_manifest_parses_back(tmp_path):
     loaded = load_manifest(tmp_path / "out" / "manifest.jsonl")
     assert loaded == entries
 
+
+
+def test_build_manifest_failure_keeps_previous_manifest(tmp_path, monkeypatch):
+    pairs = _write_corpus(tmp_path, 3)
+    out = tmp_path / "out"
+    build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 5, out)
+    before = (out / "manifest.jsonl").read_bytes()
+
+    real_dump = json.dump
+    calls = []
+
+    def dump_then_fail(obj, f, **kwargs):
+        calls.append(obj)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_dump(obj, f, **kwargs)
+
+    monkeypatch.setattr(dataset.json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 6, out)
+    assert (out / "manifest.jsonl").read_bytes() == before
+    monkeypatch.undo()
+    build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 6, out)
+    assert (out / "manifest.jsonl").read_bytes() != before
+
+
+def test_build_leaves_no_temp_files(tmp_path):
+    pairs = _write_corpus(tmp_path, 4)
+    out = tmp_path / "out"
+    build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 5, out, jobs=2)
+    names = sorted(p.name for p in out.rglob("*"))
+    assert names == ["audio", "manifest.jsonl"] + [f"pair{i:03d}.wav" for i in range(4)]
 
 def test_load_pairs_roundtrip(tmp_path):
     pairs = _write_corpus(tmp_path, 2)

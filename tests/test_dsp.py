@@ -312,7 +312,7 @@ def test_augment_both_compositional_oracle(rng):
     secondary = random_wave(rng, 10000, amp=0.25)
     got = augment_pair(primary, secondary, AugmentationMode.BOTH, params)
     sec = loop_or_truncate(secondary, 16384)
-    sec = dsp._match_power(primary, sec, params)
+    sec = Waveform(dsp._match_power(primary, sec, params.epsilon).astype(np.float32), 48000)
     comp = spectral_interpolate(primary, sec, params)
     env = rms_envelope(primary, params.rms_frame_size, params.rms_hop)
     expect = dsp.peak_normalize(apply_rms_envelope(env, comp, params.epsilon), params.output_peak)

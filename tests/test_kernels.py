@@ -1,18 +1,50 @@
-"""Parity tests: numba kernels against the pure-numpy fallbacks."""
+"""Kernel tests: each vectorized kernel against a direct reference path.
+
+The references are a loop over frames (frame RMS), a loop over samples
+between gain anchors (gain interpolation) and a mean over each truncated
+window (moving average).
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphmix import kernels
+
+
+def _rms_loop(x, frame, hop, n_frames):
+    padded = np.concatenate([x, np.zeros(frame + n_frames * hop)])
+    return np.array([np.sqrt(np.mean(padded[k * hop:k * hop + frame] ** 2))
+                     for k in range(n_frames)])
+
+
+def _interp_loop(xp, fp, n_samples):
+    out = np.empty(n_samples)
+    seg = 0
+    for t in range(n_samples):
+        if t <= xp[0]:
+            out[t] = fp[0]
+        elif t >= xp[-1]:
+            out[t] = fp[-1]
+        else:
+            while xp[seg + 1] < t:
+                seg += 1
+            frac = (t - xp[seg]) / (xp[seg + 1] - xp[seg])
+            out[t] = fp[seg] * (1.0 - frac) + fp[seg + 1] * frac
+    return out
 
 
 @pytest.mark.parametrize("n,frame,hop", [(1000, 64, 16), (100, 256, 256), (5, 8, 2)])
 def test_frame_rms_paths_agree(rng, n, frame, hop):
     x = rng.normal(size=n)
     n_frames = -(-n // hop)
-    a = kernels._frame_rms_numpy(x, frame, hop, n_frames)
-    b = kernels.frame_rms(x, frame, hop, n_frames)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+    got = kernels.frame_rms(x, frame, hop, n_frames)
+    assert np.allclose(got, _rms_loop(x, frame, hop, n_frames), rtol=1e-12)
+    # frames that start past the end read 0
+    past = kernels.frame_rms(x, frame, hop, n_frames + 3)
+    assert np.array_equal(past[:n_frames], got)
+    assert np.array_equal(past[n_frames:], np.zeros(3))
 
 
 def test_frame_rms_direct_loop_oracle(rng):
@@ -25,13 +57,36 @@ def test_frame_rms_direct_loop_oracle(rng):
     assert np.allclose(got, expect, rtol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2000),
+    hop=st.integers(1, 64),
+    extra=st.integers(0, 256),
+    frames_past=st.integers(-5, 5),
+)
+def test_frame_rms_matches_direct_loop_property(seed, n, hop, extra, frames_past):
+    frame = hop + extra
+    n_frames = max(-(-n // hop) + frames_past, 0)
+    x = np.random.default_rng(seed).normal(size=n)
+    got = kernels.frame_rms(x, frame, hop, n_frames)
+    expect = _rms_loop(x, frame, hop, n_frames)
+    assert got.shape == (n_frames,)
+    # the two sides differ only in summation order: the cumulative sums carry
+    # a rounding error of at most n * eps times the total energy
+    atol = 4 * n * np.finfo(np.float64).eps * float(np.sum(x * x))
+    assert np.allclose(frame * got ** 2, frame * expect ** 2, rtol=1e-12, atol=atol)
+    starts_past = np.arange(n_frames) * hop >= n
+    assert np.array_equal(got[starts_past], np.zeros(int(starts_past.sum())))
+
+
 @pytest.mark.parametrize("n_frames", [1, 2, 10])
 def test_interp_gains_paths_agree(rng, n_frames):
     gains = rng.uniform(0.1, 3.0, n_frames)
     xp, fp = kernels._gain_anchors(gains, 64, 16, 200)
-    a = kernels._interp_anchors_numpy(xp, fp, 200)
-    b = kernels.interp_frame_gains(gains, 64, 16, 200)
-    assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
+    got = kernels.interp_frame_gains(gains, 64, 16, 200)
+    assert np.array_equal(got, np.interp(np.arange(200), xp, fp))
+    assert np.allclose(got, _interp_loop(xp, fp, 200), rtol=1e-12)
 
 
 def test_interp_gains_matches_np_interp_oracle(rng):
@@ -60,9 +115,9 @@ def test_interp_gains_tail_reaches_final_gain():
 @pytest.mark.parametrize("window", [1, 3, 7, 101])
 def test_moving_average_paths_agree(rng, window):
     x = rng.normal(size=250)
-    a = kernels._moving_average_numpy(x, window)
-    b = kernels.moving_average(x, window)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+    half = window // 2
+    expect = [np.mean(x[max(i - half, 0):i + half + 1]) for i in range(len(x))]
+    assert np.allclose(kernels.moving_average(x, window), expect, rtol=1e-12, atol=1e-12)
 
 
 def test_moving_average_edge_renormalization():
