@@ -18,14 +18,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-_MODE_NAMES = {
-    "rms": AugmentationMode.RMS_ONLY,
-    "spectral": AugmentationMode.SPECTRAL_ONLY,
-    "both": AugmentationMode.BOTH,
-    "none": AugmentationMode.NONE,
-}
-
-
 def _err(msg):
     print(f"error: {msg}", file=sys.stderr)
 
@@ -74,8 +66,8 @@ def cmd_augment(args):
     try:
         params, _, _, _ = load_config(args.config)
         params = _params_from_args(args, params)
-        mode = _MODE_NAMES[args.mode]
-    except (MorphmixError, ValueError, OSError) as e:
+        mode = AugmentationMode(args.mode)
+    except (MorphmixError, ValueError, OSError, TypeError) as e:
         _err(str(e))
         return EXIT_USAGE
     try:
@@ -97,6 +89,9 @@ def cmd_augment(args):
 def cmd_build(args):
     if not Path(args.pairs).exists():
         _err(f"pairs file not found: {args.pairs}")
+        return EXIT_USAGE
+    if args.jobs < 1:
+        _err(f"--jobs must be >= 1, got {args.jobs}")
         return EXIT_USAGE
     try:
         params, dist, window, seed = load_config(args.config)
@@ -152,7 +147,7 @@ def cmd_eval(args):
         emb_store = store.EmbeddingStore(args.store)
         reference = store.read_gaussian_stats(args.reference)
         params = metrics.DirectionalityParams(temperature=args.temperature)
-    except (MorphmixError, ValueError, OSError, KeyError) as e:
+    except (MorphmixError, ValueError, OSError, KeyError, TypeError) as e:
         _err(str(e))
         return EXIT_USAGE
     try:
@@ -181,7 +176,7 @@ def build_parser():
     p = sub.add_parser("augment", help="render one surrogate morph from a pair of WAVs")
     p.add_argument("primary")
     p.add_argument("secondary")
-    p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="rms")
+    p.add_argument("--mode", choices=sorted(m.value for m in AugmentationMode), default="rms")
     p.add_argument("--out", required=True)
     p.add_argument("--bit-depth", type=int, choices=(16, 24, 32), default=32)
     p.add_argument("--primary-label", default="primary")

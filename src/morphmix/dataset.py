@@ -203,21 +203,16 @@ def build_dataset(pairs, dist, window, params, seed, out_dir, jobs=1):
     """Render every pair and write manifest.jsonl plus audio/<id>.wav.
 
     Failed pairs become manifest entries with an error field; the build
-    continues. Manifest order always matches input order.
+    continues. Manifest order always matches input order. jobs (>= 1) is
+    the number of worker threads.
     """
     out_dir = Path(out_dir)
     audio_dir = out_dir / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)
 
-    if jobs > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(
-                pool.map(
-                    lambda p: _build_one(p, dist, window, params, seed, audio_dir), pairs
-                )
-            )
-    else:
-        entries = [_build_one(p, dist, window, params, seed, audio_dir) for p in pairs]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        entries = list(pool.map(
+            lambda p: _build_one(p, dist, window, params, seed, audio_dir), pairs))
 
     # a temp file renamed over the manifest: readers see the old manifest or the new one
     tmp = out_dir / "manifest.jsonl.tmp"

@@ -183,27 +183,31 @@ def apply_eq(w, curve):
     """Filter by multiplying each FFT bin's magnitude by its gain, phase untouched."""
     if curve.fft_size != w.n_samples:
         raise SizeMismatch(f"curve fft_size {curve.fft_size} != signal length {w.n_samples}")
-    spec = np.fft.rfft(w.data.astype(np.float64), axis=1)
-    out = np.fft.irfft(spec * curve.gains, n=w.n_samples, axis=1)
-    return Waveform(out.astype(np.float32), w.sample_rate)
+    return Waveform(_filter(_spectrum(w), curve), w.sample_rate)
 
 
-def _magnitudes(w):
-    """Per-bin FFT magnitudes pooled over channels (mean of per-channel magnitudes)."""
-    spec = np.abs(np.fft.rfft(w.data.astype(np.float64), axis=1))
-    return spec.mean(axis=0)
+def _spectrum(w):
+    return np.fft.rfft(w.data.astype(np.float64), axis=1)
+
+
+def _filter(spec, curve):
+    """Float32 samples of spec scaled bin by bin by the curve; scales spec in place."""
+    spec *= curve.gains
+    return np.fft.irfft(spec, n=curve.fft_size, axis=1).astype(np.float32)
 
 
 def spectral_interpolate(w1, w2, params=AugmentParams()):
     """Filter both signals toward their averaged magnitude spectrum and sum."""
     _check_compatible(w1, w2)
     n = w1.n_samples
-    mag1 = _magnitudes(w1)
-    mag2 = _magnitudes(w2)
+    # one transform per input: its pooled magnitudes set the curves, then it is filtered
+    spec1, spec2 = _spectrum(w1), _spectrum(w2)
+    mag1 = np.abs(spec1).mean(axis=0)
+    mag2 = np.abs(spec2).mean(axis=0)
     target = spectral_target(mag1, mag2)
     c1 = eq_curve(target, mag1, params.eq_smooth_window, params.epsilon, fft_size=n)
     c2 = eq_curve(target, mag2, params.eq_smooth_window, params.epsilon, fft_size=n)
-    out = apply_eq(w1, c1).data.astype(np.float64) + apply_eq(w2, c2).data.astype(np.float64)
+    out = _filter(spec1, c1).astype(np.float64) + _filter(spec2, c2).astype(np.float64)
     return Waveform(out.astype(np.float32), w1.sample_rate)
 
 

@@ -10,6 +10,7 @@ from .dataset import read_jsonl
 from .errors import BadTemplate, EmptyInput, MissingEmbedding, MorphmixError
 from .metrics import (
     DirectionalityParams,
+    GaussianStats,
     correspondence,
     cosine_sim,
     directionality,
@@ -117,14 +118,14 @@ def load_eval_clips(path):
 
 
 def score_clip(clip, store, params=DirectionalityParams()):
-    """Compute the four per-clip metrics for one clip; raises on missing data."""
+    """The clip's audio embedding and its four per-clip metrics; raises on missing data."""
     audio = store.embedding(clip.audio_id)
     latents = store.latents(clip.latents_id)
     sim_x = cosine_sim(audio, store.embedding(clip.text_x_id))
     sim_y = cosine_sim(audio, store.embedding(clip.text_y_id))
     s_int = cosine_sim(audio, store.embedding(clip.prompt_intended_id))
     s_rev = cosine_sim(audio, store.embedding(clip.prompt_reversed_id))
-    return {
+    return audio, {
         "lcs": lcs(latents),
         "correspondence": correspondence(sim_x, sim_y),
         "intermediateness": intermediateness(sim_x, sim_y),
@@ -147,7 +148,7 @@ def evaluate_corpus(clips, store, reference, params=DirectionalityParams(),
     excluded = 0
     for clip in clips:
         try:
-            scores = score_clip(clip, store, params)
+            audio, scores = score_clip(clip, store, params)
         except MissingEmbedding as e:
             raise MissingEmbedding(f"clip {clip.clip_id!r}: {e}") from e
         except MorphmixError as e:
@@ -156,7 +157,7 @@ def evaluate_corpus(clips, store, reference, params=DirectionalityParams(),
                 on_error(clip.clip_id, e)
             continue
         per_clip.append(scores)
-        pooled.append(store.embedding(clip.audio_id))
+        pooled.append(audio)
     if not per_clip:
         raise EmptyInput("every clip failed metric computation")
     means = {
@@ -166,8 +167,6 @@ def evaluate_corpus(clips, store, reference, params=DirectionalityParams(),
     if len(pooled) == 1:
         # a single clip still yields a row; the pooled fit degenerates to a
         # point mass at its embedding
-        from .metrics import GaussianStats
-
         d = pooled[0].dim
         pooled_stats = GaussianStats(pooled[0].values, np.zeros((d, d)))
     else:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +92,39 @@ def test_build_invalid_distribution_config(tmp_path, wav_pair, capsys):
     code = main(["build", str(pairs), "--out-dir", str(tmp_path / "out"),
                  "--config", str(config)])
     assert code == 2
+
+
+def test_readme_config_example_runs(tmp_path, wav_pair, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    config = tmp_path / "config.json"
+    config.write_text(next(b for b in blocks if "augment_params" in b))
+    pairs = _pairs_file(tmp_path, wav_pair, n=2)
+    assert main(["build", str(pairs), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(config)]) == 0
+    p, s = wav_pair
+    assert main(["augment", str(p), str(s), "--mode", "both", "--out", str(tmp_path / "o.wav"),
+                 "--config", str(config)]) == 0
+
+
+def test_config_window_not_an_object_is_usage_error(tmp_path, wav_pair, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"timestep_window": [0.5, 1.0]}))
+    pairs = _pairs_file(tmp_path, wav_pair, n=1)
+    assert main(["build", str(pairs), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(config)]) == 2
+    p, s = wav_pair
+    assert main(["augment", str(p), str(s), "--out", str(tmp_path / "o.wav"),
+                 "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_build_rejects_jobs_below_one(tmp_path, wav_pair, capsys, jobs):
+    pairs = _pairs_file(tmp_path, wav_pair)
+    out = tmp_path / "out"
+    assert main(["build", str(pairs), "--out-dir", str(out), "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (out / "manifest.jsonl").exists()
 
 
 def test_embed_mock_deterministic(tmp_path, wav_pair):
@@ -223,3 +258,12 @@ def test_eval_formats_agree(tmp_path, rng, capsys):
     md_vals = [c.strip().strip("*") for c in
                md_out.strip().splitlines()[2].split("|")[2:-1]]
     assert csv_vals == md_vals
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"x"', "5"])
+def test_eval_clips_line_not_an_object(tmp_path, rng, capsys, line):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    clips_path.write_text(line + "\n")
+    assert main(["eval", str(clips_path), "--store", str(store.root),
+                 "--reference", str(ref_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

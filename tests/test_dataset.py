@@ -1,8 +1,11 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from morphmix import dataset, errors
@@ -207,6 +210,50 @@ def test_build_non_finite_pair_is_an_error_entry(tmp_path):
         assert not entries[0].failed and not entries[2].failed
         manifests.append((out / "manifest.jsonl").read_bytes())
     assert manifests[0] == manifests[1]
+
+
+KINDS = ["long", "short", "stereo", "missing", "silent", "nan"]
+
+
+@pytest.fixture(scope="module")
+def input_kinds(tmp_path_factory):
+    """One short WAV per kind of input; a missing path for the missing kind."""
+    root = tmp_path_factory.mktemp("kinds")
+    rng = np.random.default_rng(11)
+    nan = random_wave(rng, 1500).data.copy()
+    nan[0, 700] = np.nan
+    waves = {
+        "long": random_wave(rng, 2400),
+        "short": random_wave(rng, 900),
+        "stereo": random_wave(rng, 1700, channels=2),
+        "silent": Waveform(np.zeros((1, 1200), dtype=np.float32), 48000),
+        "nan": Waveform(nan, 48000),
+    }
+    paths = {"missing": str(root / "missing.wav")}
+    for kind, w in waves.items():
+        paths[kind] = str(root / f"{kind}.wav")
+        save_wav(w, paths[kind], bit_depth=32)
+    return paths
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kinds=st.lists(st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+                   min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_build_jobs_invariant_with_failing_pairs(input_kinds, kinds, seed):
+    pairs = [PairSpec(f"pair{i}", input_kinds[p], p, input_kinds[s], s)
+             for i, (p, s) in enumerate(kinds)]
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = []
+        for jobs in (1, 2):
+            out = Path(tmp) / f"out{jobs}"
+            build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), seed, out, jobs=jobs)
+            trees.append({f.relative_to(out): f.read_bytes() for f in out.rglob("*") if f.is_file()})
+    assert trees[0] == trees[1]
+    failing = sum(any(k in ("missing", "silent", "nan") for k in pair) for pair in kinds)
+    assert len(trees[0]) == 1 + len(kinds) - failing
 
 
 def test_build_manifest_parses_back(tmp_path):

@@ -264,17 +264,38 @@ def test_spectral_interpolate_zero_second_input(rng):
 
 
 def test_spectral_interpolate_compositional_oracle(rng):
+    # bit-exact against the public steps: channel-pooled magnitudes, the two
+    # curves, and the float32 outputs of apply_eq summed in float64
     params = AugmentParams(eq_smooth_window=7, epsilon=1e-8)
-    w1 = random_wave(rng, 4096, amp=0.4)
-    w2 = random_wave(rng, 4096, amp=0.4)
-    got = spectral_interpolate(w1, w2, params)
-    mag1 = np.abs(np.fft.rfft(w1.data[0].astype(np.float64)))
-    mag2 = np.abs(np.fft.rfft(w2.data[0].astype(np.float64)))
-    target = spectral_target(mag1, mag2)
-    c1 = eq_curve(target, mag1, 7, 1e-8, fft_size=4096)
-    c2 = eq_curve(target, mag2, 7, 1e-8, fft_size=4096)
-    expect = apply_eq(w1, c1).data.astype(np.float64) + apply_eq(w2, c2).data.astype(np.float64)
-    assert np.allclose(got.data, expect, atol=1e-6)
+    for n, channels in ((4096, 1), (4096, 2), (4097, 1), (12347, 2)):  # 12347 is prime
+        w1 = random_wave(rng, n, amp=0.4, channels=channels)
+        w2 = random_wave(rng, n, amp=0.4, channels=channels)
+        got = spectral_interpolate(w1, w2, params)
+        mag1 = np.abs(np.fft.rfft(w1.data.astype(np.float64), axis=1)).mean(axis=0)
+        mag2 = np.abs(np.fft.rfft(w2.data.astype(np.float64), axis=1)).mean(axis=0)
+        target = spectral_target(mag1, mag2)
+        c1 = eq_curve(target, mag1, 7, 1e-8, fft_size=n)
+        c2 = eq_curve(target, mag2, 7, 1e-8, fft_size=n)
+        expect = (apply_eq(w1, c1).data.astype(np.float64)
+                  + apply_eq(w2, c2).data.astype(np.float64))
+        assert np.array_equal(got.data, expect.astype(np.float32)), (n, channels)
+
+
+def test_spectral_interpolate_transforms_each_input_once(rng, monkeypatch):
+    calls = {"rfft": 0, "irfft": 0}
+
+    def counted(name):
+        original = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    spectral_interpolate(random_wave(rng, 4097, channels=2), random_wave(rng, 4097, channels=2))
+    assert calls == {"rfft": 2, "irfft": 2}
 
 
 # --- augment_pair ---

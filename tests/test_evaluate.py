@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from morphmix import errors
+from morphmix import store as store_module
 from morphmix.evaluate import (
     ConceptPair,
     EvalClip,
@@ -150,6 +151,24 @@ def test_evaluate_excludes_failed_clips(tmp_path, rng):
     assert row.count == 2
     assert row.excluded == 1
     assert seen == ["clip0"]
+
+
+def test_evaluate_reads_each_entry_once(tmp_path, rng, monkeypatch):
+    store, clips, _ = _populate(tmp_path, rng, n_clips=3)
+    reference = gaussian_stats([store.embedding(c.audio_id) for c in clips])
+    reads = []
+    real_read = store_module.read_mxeb
+
+    def counted(path):
+        reads.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(store_module, "read_mxeb", counted)
+    row = evaluate_corpus(clips, store, reference)
+    # audio, latents and four text/prompt embeddings: the pooled FAD reuses the audio read
+    assert row.count == 3
+    assert len(reads) == 6 * 3
+    assert len(set(reads)) == len(reads)
 
 
 # --- report rendering ---
