@@ -26,6 +26,7 @@ _FMT_IEEE_FLOAT = 3
 _FMT_EXTENSIBLE = 0xFFFE
 # an extensible SubFormat GUID is a uint32 format tag followed by these 12 bytes
 _KSDATAFORMAT_TAIL = bytes.fromhex("0000 1000 8000 00aa00389b71")
+_PCM24 = np.dtype([("lo", "<u2"), ("hi", "i1")])
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,14 @@ def _extensible_subformat(path, fmt):
 def load_wav(path):
     """Decode a WAV file into a Waveform.
 
-    Raises MalformedHeader, UnsupportedEncoding or TruncatedData on bad input.
+    Raises MalformedHeader, UnsupportedEncoding or TruncatedData on bad input,
+    and IoFailure if the file cannot be read.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise IoFailure(f"{path}: {e}") from e
 
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise MalformedHeader(f"{path}: not a RIFF/WAVE file")
@@ -125,13 +130,10 @@ def load_wav(path):
         samples = np.frombuffer(data[:len(data) - len(data) % 2], dtype="<i2")
         samples = samples.astype(np.float32) / 32768.0
     elif bits == 24:
-        b = np.frombuffer(data[:len(data) - len(data) % 3], dtype=np.uint8).reshape(-1, 3)
-        ints = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int32) << 16)
-        )
-        ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
+        # a little-endian sample is an unsigned low 16 bits and a signed top byte
+        b = np.frombuffer(data, dtype=_PCM24, count=len(data) // 3)
+        ints = b["hi"].astype(np.int32) << 16
+        ints |= b["lo"]
         samples = ints.astype(np.float32) / float(1 << 23)
     else:
         raise UnsupportedEncoding(f"{path}: {bits}-bit PCM not supported")

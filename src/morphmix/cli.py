@@ -160,7 +160,11 @@ def cmd_eval(args):
         return EXIT_FAILURE
     report = evaluate.render_report([row], fmt=args.format)
     if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
+        try:
+            Path(args.out).write_text(report, encoding="utf-8")
+        except OSError as e:
+            _err(f"cannot write report: {e}")
+            return EXIT_FAILURE
     else:
         sys.stdout.write(report)
     return EXIT_OK

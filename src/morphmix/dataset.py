@@ -183,7 +183,7 @@ def _build_one(pair, dist, window, params, seed, audio_dir):
         rendered = augment_pair(primary, secondary, mode, params)
         save_wav(rendered, out_path, bit_depth=32)
         error = ""
-    except (MorphmixError, OSError) as e:
+    except MorphmixError as e:
         error = f"{type(e).__name__}: {e}"
     return ManifestEntry(
         id=pair.id,

@@ -207,8 +207,11 @@ def spectral_interpolate(w1, w2, params=AugmentParams()):
     target = spectral_target(mag1, mag2)
     c1 = eq_curve(target, mag1, params.eq_smooth_window, params.epsilon, fft_size=n)
     c2 = eq_curve(target, mag2, params.eq_smooth_window, params.epsilon, fft_size=n)
-    out = _filter(spec1, c1).astype(np.float64) + _filter(spec2, c2).astype(np.float64)
-    return Waveform(out.astype(np.float32), w1.sample_rate)
+    # the filtered spectra are summed before one inverse transform, in place
+    spec1 *= c1.gains
+    spec2 *= c2.gains
+    spec1 += spec2
+    return Waveform(np.fft.irfft(spec1, n=n, axis=1).astype(np.float32), w1.sample_rate)
 
 
 def peak_normalize(w, peak):

@@ -20,7 +20,7 @@ class TruncatedData(MorphmixError):
 
 
 class IoFailure(MorphmixError):
-    """Underlying file write failed."""
+    """Underlying file read or write failed."""
 
 
 class InvalidWaveform(MorphmixError):

@@ -63,7 +63,19 @@ def moving_average(x, window):
     n = len(x)
     cs = np.zeros(n + 1)
     np.cumsum(x, out=cs[1:])
-    idx = np.arange(n)
+    if n <= 2 * half:
+        return _truncated_mean(cs, np.arange(n), half, n)
+    # full windows in the interior are plain slices; only the two edge runs
+    # of `half` samples have truncated windows and need index arithmetic
+    out = np.empty(n)
+    out[half:n - half] = (cs[window:] - cs[:n + 1 - window]) / window
+    out[:half] = _truncated_mean(cs, np.arange(half), half, n)
+    out[n - half:] = _truncated_mean(cs, np.arange(n - half, n), half, n)
+    return out
+
+
+def _truncated_mean(cs, idx, half, n):
+    """Means at positions idx over windows clipped to [0, n), from cumulative sums cs."""
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half + 1, n)
     return (cs[hi] - cs[lo]) / (hi - lo)

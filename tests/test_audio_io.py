@@ -1,7 +1,11 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphmix import audio_io, errors
 from morphmix.audio_io import Waveform, load_wav, save_wav, to_mono
@@ -91,6 +95,75 @@ def test_24bit_roundtrip_values(tmp_path):
     w = load_wav(path)
     assert w.data[0, 0] == pytest.approx(0.5)
     assert w.data[0, 1] == pytest.approx(-1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.sampled_from([16, 24, 32]),
+    channels=st.integers(1, 2),
+    n=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roundtrip_property_every_format(bits, channels, n, seed):
+    # samples beyond [-1, 1] exercise the quantizer's clamp
+    w = random_wave(np.random.default_rng(seed), n, sr=44100, amp=1.1, channels=channels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "a.wav", Path(tmp) / "b.wav"
+        save_wav(w, path, bit_depth=bits)
+        got = load_wav(path)
+        save_wav(got, again, bit_depth=bits)
+        assert data_chunk(again) == data_chunk(path)
+    assert got.sample_rate == 44100
+    assert got.data.shape == (channels, n)
+    if bits == 32:
+        assert np.array_equal(got.data, w.data)
+    else:
+        # oracle: round half away from zero of clip(x) * 2^(bits-1), clamped to the int range
+        scale = float(1 << (bits - 1))
+        c = np.clip(w.data.astype(np.float64), -1, 1) * scale
+        q = np.clip(np.where(c >= 0, np.floor(c + 0.5), np.ceil(c - 0.5)), -scale, scale - 1)
+        assert np.array_equal(got.data, (q / scale).astype(np.float32))
+
+
+def _pcm24_reference(payload, channels):
+    """Decode 24-bit little-endian PCM one byte at a time; a partial sample is dropped."""
+    values = []
+    for i in range(0, len(payload) - 2, 3):
+        v = payload[i] | payload[i + 1] << 8 | payload[i + 2] << 16
+        if v >= 1 << 23:
+            v -= 1 << 24
+        values.append(v / float(1 << 23))
+    n_frames = len(values) // channels
+    frames = [values[k * channels:(k + 1) * channels] for k in range(n_frames)]
+    return np.array(frames, dtype=np.float64).reshape(n_frames, channels).T.astype(np.float32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    codes=st.lists(st.one_of(st.sampled_from([0x800000, 0x7FFFFF, 0xFFFFFF, 0x000000, 0x000001]),
+                             st.integers(0, 0xFFFFFF)), max_size=64),
+    tail=st.binary(max_size=2),
+    channels=st.integers(1, 2),
+)
+def test_pcm24_decode_matches_bytewise_reference(codes, tail, channels):
+    payload = b"".join(c.to_bytes(3, "little") for c in codes) + tail
+    fmt = struct.pack("<HHIIHH", 1, channels, 48000, 48000 * 3 * channels, 3 * channels, 24)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) & 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        got = load_wav(path)
+    expect = _pcm24_reference(payload, channels)
+    assert got.data.shape == expect.shape
+    assert np.array_equal(got.data, expect)
+
+
+def test_unreadable_path_is_io_failure(tmp_path):
+    (tmp_path / "x.wav").mkdir()
+    for path in (tmp_path / "x.wav", tmp_path / "missing.wav"):
+        with pytest.raises(errors.IoFailure, match=path.name):
+            load_wav(path)
 
 
 def test_not_riff_raises(tmp_path):

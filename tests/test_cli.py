@@ -176,6 +176,26 @@ def test_embed_mock_non_finite_clip(tmp_path, rng, capsys, latents):
     assert EmbeddingStore(tmp_path / "st").ids() == good
 
 
+def test_embed_mock_directory_named_wav(tmp_path, rng, capsys):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    save_wav(random_wave(rng, 9000), audio_dir / "a.wav", bit_depth=32)
+    (audio_dir / "x.wav").mkdir()
+    save_wav(random_wave(rng, 9000), audio_dir / "y.wav", bit_depth=32)
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(tmp_path / "st")]) == 1
+    assert "failed x.wav: " in capsys.readouterr().err
+    assert EmbeddingStore(tmp_path / "st").ids() == ["a", "y"]
+
+
+def test_augment_directory_input(tmp_path, wav_pair, capsys):
+    p, _ = wav_pair
+    (tmp_path / "dir.wav").mkdir()
+    code = main(["augment", str(p), str(tmp_path / "dir.wav"), "--out", str(tmp_path / "o.wav")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_embed_mock_empty_dir(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -258,6 +278,15 @@ def test_eval_formats_agree(tmp_path, rng, capsys):
     md_vals = [c.strip().strip("*") for c in
                md_out.strip().splitlines()[2].split("|")[2:-1]]
     assert csv_vals == md_vals
+
+
+def test_eval_report_in_missing_directory(tmp_path, rng, capsys):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    out = tmp_path / "nodir" / "r.md"
+    assert main(["eval", str(clips_path), "--store", str(store.root),
+                 "--reference", str(ref_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "5"])

@@ -265,23 +265,32 @@ def test_spectral_interpolate_zero_second_input(rng):
 
 def test_spectral_interpolate_compositional_oracle(rng):
     # bit-exact against the public steps: channel-pooled magnitudes, the two
-    # curves, and the float32 outputs of apply_eq summed in float64
+    # curves, both spectra scaled by their gains and summed, one irfft, float32
     params = AugmentParams(eq_smooth_window=7, epsilon=1e-8)
     for n, channels in ((4096, 1), (4096, 2), (4097, 1), (12347, 2)):  # 12347 is prime
         w1 = random_wave(rng, n, amp=0.4, channels=channels)
         w2 = random_wave(rng, n, amp=0.4, channels=channels)
         got = spectral_interpolate(w1, w2, params)
-        mag1 = np.abs(np.fft.rfft(w1.data.astype(np.float64), axis=1)).mean(axis=0)
-        mag2 = np.abs(np.fft.rfft(w2.data.astype(np.float64), axis=1)).mean(axis=0)
+        spec1 = np.fft.rfft(w1.data.astype(np.float64), axis=1)
+        spec2 = np.fft.rfft(w2.data.astype(np.float64), axis=1)
+        mag1 = np.abs(spec1).mean(axis=0)
+        mag2 = np.abs(spec2).mean(axis=0)
         target = spectral_target(mag1, mag2)
         c1 = eq_curve(target, mag1, 7, 1e-8, fft_size=n)
         c2 = eq_curve(target, mag2, 7, 1e-8, fft_size=n)
-        expect = (apply_eq(w1, c1).data.astype(np.float64)
-                  + apply_eq(w2, c2).data.astype(np.float64))
-        assert np.array_equal(got.data, expect.astype(np.float32)), (n, channels)
+        summed = spec1 * c1.gains + spec2 * c2.gains
+        expect = np.fft.irfft(summed, n=n, axis=1).astype(np.float32)
+        assert np.array_equal(got.data, expect), (n, channels)
+        # the time-domain sum of the two apply_eq outputs rounds each filtered
+        # half to float32 first; it stays within a few ulps of the larger peak
+        half1 = apply_eq(w1, c1).data.astype(np.float64)
+        half2 = apply_eq(w2, c2).data.astype(np.float64)
+        peak = max(np.max(np.abs(half1)), np.max(np.abs(half2)))
+        ulp = float(np.spacing(np.float32(peak)))
+        assert np.max(np.abs(got.data - (half1 + half2))) <= 4 * ulp, (n, channels)
 
 
-def test_spectral_interpolate_transforms_each_input_once(rng, monkeypatch):
+def _count_transforms(monkeypatch):
     calls = {"rfft": 0, "irfft": 0}
 
     def counted(name):
@@ -294,8 +303,28 @@ def test_spectral_interpolate_transforms_each_input_once(rng, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.fft, name, counted(name))
+    return calls
+
+
+def test_spectral_interpolate_transforms_each_input_once(rng, monkeypatch):
+    calls = _count_transforms(monkeypatch)
     spectral_interpolate(random_wave(rng, 4097, channels=2), random_wave(rng, 4097, channels=2))
-    assert calls == {"rfft": 2, "irfft": 2}
+    assert calls == {"rfft": 2, "irfft": 1}
+
+
+@pytest.mark.parametrize("mode,expect", [
+    (AugmentationMode.SPECTRAL_ONLY, {"rfft": 2, "irfft": 1}),
+    (AugmentationMode.BOTH, {"rfft": 2, "irfft": 1}),
+    (AugmentationMode.RMS_ONLY, {"rfft": 0, "irfft": 0}),
+    (AugmentationMode.NONE, {"rfft": 0, "irfft": 0}),
+])
+def test_augment_pair_transform_counts_per_mode(rng, monkeypatch, mode, expect):
+    # perfbench counts dsp.fft.calls through np.fft.rfft/irfft; this pins that count
+    primary = random_wave(rng, 4800, amp=0.3)
+    secondary = random_wave(rng, 3000, amp=0.3)
+    calls = _count_transforms(monkeypatch)
+    augment_pair(primary, secondary, mode)
+    assert calls == expect
 
 
 # --- augment_pair ---

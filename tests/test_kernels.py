@@ -2,7 +2,8 @@
 
 The references are a loop over frames (frame RMS), a loop over samples
 between gain anchors (gain interpolation) and a mean over each truncated
-window (moving average).
+window (moving average). The moving average is also held bit-equal to the
+fancy-indexed cumulative-sum formula it used over every bin.
 """
 
 import numpy as np
@@ -123,3 +124,28 @@ def test_moving_average_paths_agree(rng, window):
 def test_moving_average_edge_renormalization():
     got = kernels.moving_average(np.array([1.0, 4.0, 1.0, 1.0]), 3)
     assert np.allclose(got, [2.5, 2.0, 2.0, 1.0])
+
+
+def _moving_average_fancy(x, window):
+    """The fancy-indexed formula moving_average used over every bin."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if window == 1:
+        return x.copy()
+    half = window // 2
+    n = len(x)
+    cs = np.zeros(n + 1)
+    np.cumsum(x, out=cs[1:])
+    idx = np.arange(n)
+    lo = np.maximum(idx - half, 0)
+    hi = np.minimum(idx + half + 1, n)
+    return (cs[hi] - cs[lo]) / (hi - lo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_moving_average_bit_equal_to_fancy_indexed_formula(data, n, seed):
+    # odd windows up to 2n+3, so windows wider than the signal are covered
+    window = 2 * data.draw(st.integers(0, n + 1)) + 1
+    x = np.random.default_rng(seed).normal(size=n)
+    got = kernels.moving_average(x, window)
+    assert np.array_equal(got, _moving_average_fancy(x, window)), (n, window)
