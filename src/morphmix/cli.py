@@ -22,6 +22,19 @@ def _err(msg):
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _make_dir(path):
+    """Create path and its parents; False, after an error line, if that fails."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        _err(f"not a directory: {path}")
+        return False
+    except OSError as e:
+        _err(f"cannot create directory {path}: {e.strerror or e}")
+        return False
+    return True
+
+
 def load_config(path=None):
     """Read the optional config JSON into typed config values."""
     raw = {}
@@ -99,8 +112,11 @@ def cmd_build(args):
         if args.seed is not None:
             seed = args.seed
         pairs = dataset.load_pairs(args.pairs)
+        dataset.check_pair_ids(pairs)
     except (MorphmixError, ValueError, OSError, TypeError) as e:
         _err(str(e))
+        return EXIT_USAGE
+    if not _make_dir(Path(args.out_dir) / "audio"):
         return EXIT_USAGE
     entries = dataset.build_dataset(
         pairs, dist, window, params, seed, args.out_dir, jobs=args.jobs
@@ -117,6 +133,8 @@ def cmd_embed_mock(args):
     audio_dir = Path(args.audio_dir)
     if not audio_dir.is_dir():
         _err(f"not a directory: {args.audio_dir}")
+        return EXIT_USAGE
+    if not _make_dir(Path(args.out_store)):
         return EXIT_USAGE
     out = store.EmbeddingStore(args.out_store)
     failures = 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
-from .errors import EmptyLabel, InvalidDistribution, MorphmixError
+from .errors import BadId, EmptyLabel, InvalidDistribution, MorphmixError, check_id
 
 MODE_ORDER = (
     AugmentationMode.RMS_ONLY,
@@ -168,6 +168,20 @@ def load_pairs(path):
     return [PairSpec(**d) for d in read_jsonl(path)]
 
 
+def check_pair_ids(pairs):
+    """Raise BadId for a pair id that is not one path component, or that repeats.
+
+    Each id names audio/<id>.wav, so a repeated id would overwrite an
+    earlier pair's WAV and a path id would write outside audio/.
+    """
+    seen = set()
+    for pair in pairs:
+        check_id(pair.id)
+        if pair.id in seen:
+            raise BadId(f"pair id {pair.id!r} appears more than once")
+        seen.add(pair.id)
+
+
 def _build_one(pair, dist, window, params, seed, audio_dir):
     sub_seed = pair_seed(seed, pair.id)
     rng = np.random.Generator(np.random.PCG64(sub_seed))
@@ -204,8 +218,10 @@ def build_dataset(pairs, dist, window, params, seed, out_dir, jobs=1):
 
     Failed pairs become manifest entries with an error field; the build
     continues. Manifest order always matches input order. jobs (>= 1) is
-    the number of worker threads.
+    the number of worker threads. Bad pair ids raise BadId before anything
+    is written.
     """
+    check_pair_ids(pairs)
     out_dir = Path(out_dir)
     audio_dir = out_dir / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the id check behind BadId."""
 
 
 class MorphmixError(Exception):
@@ -121,3 +121,17 @@ class BadTemplate(MorphmixError):
 
 class MissingEmbedding(MorphmixError):
     """Embedding store has no entry for a requested id."""
+
+
+class BadId(MorphmixError):
+    """A pair or store id that cannot name one file, or a repeated pair id."""
+
+
+def check_id(entry_id):
+    """Raise BadId unless str(entry_id), the stem of its file, is one path component.
+
+    String tests only: the store calls this on every put.
+    """
+    name = str(entry_id)
+    if name in ("", ".", "..") or "/" in name or "\\" in name or "\0" in name:
+        raise BadId(f"id {entry_id!r} is not a single path component")

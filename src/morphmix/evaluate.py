@@ -117,14 +117,33 @@ def load_eval_clips(path):
     return [EvalClip.from_dict(d) for d in read_jsonl(path)]
 
 
-def score_clip(clip, store, params=DirectionalityParams()):
-    """The clip's audio embedding and its four per-clip metrics; raises on missing data."""
+def _shared_embedding(store, shared, entry_id):
+    """store.embedding(entry_id), read at most once per shared dict.
+
+    A read that raises leaves nothing in the dict, so the next clip that
+    names the id reads it again and fails the same way.
+    """
+    emb = shared.get(entry_id)
+    if emb is None:
+        emb = shared[entry_id] = store.embedding(entry_id)
+    return emb
+
+
+def score_clip(clip, store, params=DirectionalityParams(), shared=None):
+    """The clip's audio embedding and its four per-clip metrics; raises on missing data.
+
+    shared maps text and prompt ids to the embeddings read so far; many clips
+    name the same concept texts and prompts, and evaluate_corpus passes one
+    dict for all its clips. The audio embedding and latents are read per clip.
+    """
+    if shared is None:
+        shared = {}
     audio = store.embedding(clip.audio_id)
     latents = store.latents(clip.latents_id)
-    sim_x = cosine_sim(audio, store.embedding(clip.text_x_id))
-    sim_y = cosine_sim(audio, store.embedding(clip.text_y_id))
-    s_int = cosine_sim(audio, store.embedding(clip.prompt_intended_id))
-    s_rev = cosine_sim(audio, store.embedding(clip.prompt_reversed_id))
+    sim_x = cosine_sim(audio, _shared_embedding(store, shared, clip.text_x_id))
+    sim_y = cosine_sim(audio, _shared_embedding(store, shared, clip.text_y_id))
+    s_int = cosine_sim(audio, _shared_embedding(store, shared, clip.prompt_intended_id))
+    s_rev = cosine_sim(audio, _shared_embedding(store, shared, clip.prompt_reversed_id))
     return audio, {
         "lcs": lcs(latents),
         "correspondence": correspondence(sim_x, sim_y),
@@ -138,17 +157,19 @@ def evaluate_corpus(clips, store, reference, params=DirectionalityParams(),
     """Score a clip corpus: unweighted metric means plus pooled FAD vs reference.
 
     Clips whose embeddings are missing raise MissingEmbedding naming the
-    clip. Other per-clip metric failures exclude the clip from the means;
-    the exclusion count is reported on the row.
+    clip. Other per-clip failures, a malformed or unreadable store entry
+    among them, exclude the clip from the means; the exclusion count is
+    reported on the row. Each text and prompt entry is read once per call.
     """
     if not clips:
         raise EmptyInput("no clips to evaluate")
     per_clip = []
     pooled = []
     excluded = 0
+    shared = {}  # local to this call: the store may change between calls
     for clip in clips:
         try:
-            audio, scores = score_clip(clip, store, params)
+            audio, scores = score_clip(clip, store, params, shared=shared)
         except MissingEmbedding as e:
             raise MissingEmbedding(f"clip {clip.clip_id!r}: {e}") from e
         except MorphmixError as e:

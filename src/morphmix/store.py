@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadFormat, MissingEmbedding
+from .errors import BadFormat, IoFailure, MissingEmbedding, check_id
 from .metrics import Embedding, GaussianStats, LatentMatrix
 
 MAGIC = b"MXEB"
@@ -37,15 +37,18 @@ def write_mxeb(path, matrix):
 
 
 def read_mxeb(path):
-    """Read an MXEB file into a float64 (T, D) array."""
-    with open(path, "rb") as f:
-        header = f.read(13)
-        if len(header) < 13 or header[:4] != MAGIC:
-            raise BadFormat(f"{path}: bad magic")
-        if header[4] != VERSION:
-            raise BadFormat(f"{path}: unsupported version {header[4]}")
-        t, d = struct.unpack("<II", header[5:13])
-        body = f.read(4 * t * d)
+    """Read an MXEB file into a float64 (T, D) array; IoFailure if it cannot be read."""
+    try:
+        with open(path, "rb") as f:
+            header = f.read(13)
+            if len(header) < 13 or header[:4] != MAGIC:
+                raise BadFormat(f"{path}: bad magic")
+            if header[4] != VERSION:
+                raise BadFormat(f"{path}: unsupported version {header[4]}")
+            t, d = struct.unpack("<II", header[5:13])
+            body = f.read(4 * t * d)
+    except OSError as e:
+        raise IoFailure(f"{path}: {e.strerror or e}") from e
     if len(body) != 4 * t * d:
         raise BadFormat(f"{path}: expected {4 * t * d} payload bytes, got {len(body)}")
     return np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t, d)
@@ -59,11 +62,18 @@ def read_embedding(path, clip_id=""):
     m = read_mxeb(path)
     if m.shape[0] != 1:
         raise BadFormat(f"{path}: expected a single row for an embedding, got {m.shape[0]}")
-    return Embedding(m[0], clip_id=clip_id)
+    try:
+        return Embedding(m[0], clip_id=clip_id)
+    except ValueError as e:  # no columns, or a NaN or infinite value
+        raise BadFormat(f"{path}: {e}") from e
 
 
 def read_latents(path, clip_id=""):
-    return LatentMatrix(read_mxeb(path), clip_id=clip_id)
+    m = read_mxeb(path)
+    try:
+        return LatentMatrix(m, clip_id=clip_id)
+    except ValueError as e:  # a NaN or infinite value
+        raise BadFormat(f"{path}: {e}") from e
 
 
 def write_gaussian_stats(path, stats):
@@ -117,7 +127,12 @@ class EmbeddingStore:
         return read_latents(self._path(entry_id), clip_id=entry_id)
 
     def put(self, entry_id, matrix):
-        """Write an entry and update the on-disk index (at the end of a batch() block)."""
+        """Write an entry and update the on-disk index (at the end of a batch() block).
+
+        entry_id names the file <entry_id>.mxeb, so it must be one path
+        component; anything else raises BadId before a byte is written.
+        """
+        check_id(entry_id)
         self.root.mkdir(parents=True, exist_ok=True)
         filename = f"{entry_id}.mxeb"
         write_mxeb(self.root / filename, matrix)

@@ -2,13 +2,19 @@
 
 perfbench/spans.py patches the public functions it traces by name, and
 perfbench/run.py reports kernels.HAVE_NUMBA. A rename here would otherwise
-surface only inside a benchmark run.
+surface only inside a benchmark run. The traced metrics must also see the
+program's work as it is: the per-clip store reads of eval are one of them.
 """
 
 import importlib.util
 from pathlib import Path
 
-from morphmix import kernels
+import numpy as np
+
+from morphmix import evaluate, kernels
+from morphmix.evaluate import EvalClip
+from morphmix.metrics import Embedding, gaussian_stats
+from morphmix.store import EmbeddingStore
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -29,3 +35,26 @@ def test_every_traced_target_resolves():
 
 def test_have_numba_constant_is_false():
     assert kernels.HAVE_NUMBA is False
+
+
+def test_traced_eval_reads_shared_entries_once(tmp_path):
+    spans = _load_spans()
+    rng = np.random.default_rng(3)
+    store = EmbeddingStore(tmp_path / "store")
+    shared = ("tx", "ty", "pi", "pr")
+    for entry_id in shared:
+        store.put(entry_id, rng.uniform(0.1, 1.0, size=(1, 8)))
+    clips = []
+    for i in range(10):
+        store.put(f"c{i}.audio", rng.uniform(0.1, 1.0, size=(1, 8)))
+        store.put(f"c{i}.latents", rng.normal(size=(12, 8)))
+        clips.append(EvalClip(f"c{i}", f"c{i}.audio", f"c{i}.latents", *shared))
+    reference = gaussian_stats([Embedding(rng.normal(size=8)) for _ in range(5)])
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        row = evaluate.evaluate_corpus(clips, store, reference)
+    metrics = spans.layer_metrics(tracer.spans, 1)
+    assert row.count == 10
+    assert metrics["store.read_mxeb.calls"] == 2 * 10 + 4
+    # six entries per clip when every clip read all of its own
+    assert metrics["evaluate.reads_per_clip"] == 2.4 < 6

@@ -296,3 +296,79 @@ def test_eval_clips_line_not_an_object(tmp_path, rng, capsys, line):
     assert main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _pairs_with_ids(tmp_path, wav_pair, ids):
+    p, s = wav_pair
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("".join(json.dumps({
+        "id": pid, "primary_path": str(p), "primary_label": "x",
+        "secondary_path": str(s), "secondary_label": "y",
+    }) + "\n" for pid in ids))
+    return path
+
+
+@pytest.mark.parametrize("ids, bad", [
+    (["dup", "ok", "dup"], "dup"),
+    (["ok", "../escaped"], "../escaped"),
+    (["a/b"], "a/b"),
+    (["a\\b"], "a\\b"),
+    ([""], ""),
+    (["."], "."),
+    ([".."], ".."),
+])
+def test_build_rejects_bad_pair_ids_before_any_work(tmp_path, wav_pair, capsys, ids, bad):
+    pairs = _pairs_with_ids(tmp_path, wav_pair, ids)
+    out = tmp_path / "out"
+    assert main(["build", str(pairs), "--out-dir", str(out), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(bad) in err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl", "primary.wav", "secondary.wav"]
+
+
+@pytest.mark.parametrize("where", ["out_dir", "audio"])
+def test_build_output_path_is_a_file(tmp_path, wav_pair, capsys, where):
+    pairs = _pairs_file(tmp_path, wav_pair, n=1)
+    out = tmp_path / "out"
+    if where == "out_dir":
+        out.write_text("a file")
+    else:
+        out.mkdir()
+        (out / "audio").write_text("a file")
+    assert main(["build", str(pairs), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "manifest.jsonl").exists()
+
+
+def test_embed_mock_out_store_is_a_file(tmp_path, wav_pair, capsys):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    (audio_dir / "a.wav").write_bytes(wav_pair[0].read_bytes())
+    out = tmp_path / "afile"
+    out.write_text("a file")
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: not a directory: {out}\n"
+    assert out.read_text() == "a file"
+
+
+@pytest.mark.parametrize("entry", ["c1.audio", "c1.lat", "c1.pr"])
+def test_eval_non_finite_entry_excludes_clip(tmp_path, rng, capsys, entry):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    rows = 10 if entry.endswith(".lat") else 1
+    data = np.ones((rows, 8))
+    data[0, 2] = np.nan
+    write_mxeb(store.root / f"{entry}.mxeb", data)
+    assert main(["eval", str(clips_path), "--store", str(store.root),
+                 "--reference", str(ref_path), "--format", "csv"]) == 0
+    cap = capsys.readouterr()
+    assert cap.err.startswith("excluded c1: ")
+    assert len(cap.out.splitlines()) == 2
+
+
+def test_eval_vanished_entry_file_excludes_clip(tmp_path, rng, capsys):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    (store.root / "c0.tx.mxeb").unlink()
+    assert main(["eval", str(clips_path), "--store", str(store.root),
+                 "--reference", str(ref_path), "--format", "csv"]) == 0
+    assert capsys.readouterr().err.startswith("excluded c0: ")

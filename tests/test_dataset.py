@@ -311,3 +311,22 @@ def test_pair_rng_stable_across_processes():
     c = pair_rng(9, "clip-2").random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("ids", [["p0", "p1", "p0"], ["p0", "../p1"], ["sub/p0"], [""]])
+def test_build_dataset_rejects_bad_ids_before_writing(tmp_path, ids):
+    p, s = tmp_path / "p.wav", tmp_path / "s.wav"
+    pairs = [PairSpec(pid, str(p), "x", str(s), "y") for pid in ids]
+    with pytest.raises(errors.BadId):
+        build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 5, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_dataset_accepts_numeric_and_dotted_ids(tmp_path):
+    # a JSON pairs file may give ids as numbers; each still names one file
+    p0, p1 = _write_corpus(tmp_path, 2)
+    pairs = [PairSpec(7, p0.primary_path, "x", p0.secondary_path, "y"),
+             PairSpec("...", p1.primary_path, "x", p1.secondary_path, "y")]
+    entries = build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 5, tmp_path / "out")
+    assert not any(e.failed for e in entries)
+    assert sorted(p.name for p in (tmp_path / "out" / "audio").iterdir()) == ["....wav", "7.wav"]

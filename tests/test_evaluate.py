@@ -11,6 +11,7 @@ from morphmix.evaluate import (
     evaluate_corpus,
     expand_prompts,
     render_report,
+    score_clip,
 )
 from morphmix.metrics import (
     Embedding,
@@ -169,6 +170,115 @@ def test_evaluate_reads_each_entry_once(tmp_path, rng, monkeypatch):
     assert row.count == 3
     assert len(reads) == 6 * 3
     assert len(set(reads)) == len(reads)
+
+
+def _populate_shared(tmp_path, rng, n_clips, shared_ids=("tx", "ty", "pi", "pr"), dim=8):
+    """n_clips clips with their own audio and latents, all naming the same text and prompt ids."""
+    store = EmbeddingStore(tmp_path / "store")
+    for entry_id in set(shared_ids):
+        store.put(entry_id, rng.uniform(0.1, 1.0, size=(1, dim)))
+    clips = []
+    for i in range(n_clips):
+        cid = f"clip{i}"
+        store.put(f"{cid}.audio", rng.uniform(0.1, 1.0, size=(1, dim)))
+        store.put(f"{cid}.latents", rng.normal(size=(12, dim)))
+        clips.append(EvalClip(cid, f"{cid}.audio", f"{cid}.latents", *shared_ids))
+    return store, clips
+
+
+def _count_reads(monkeypatch):
+    reads = []
+    real_read = store_module.read_mxeb
+
+    def counted(path):
+        reads.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(store_module, "read_mxeb", counted)
+    return reads
+
+
+@pytest.mark.parametrize("n_clips", [1, 2, 7])
+def test_evaluate_reads_shared_entries_once(tmp_path, rng, monkeypatch, n_clips):
+    store, clips = _populate_shared(tmp_path, rng, n_clips)
+    reference = gaussian_stats([Embedding(rng.normal(size=8)) for _ in range(5)])
+    reads = _count_reads(monkeypatch)
+    row = evaluate_corpus(clips, store, reference)
+    assert row.count == n_clips
+    # audio and latents per clip, then each of the four shared ids once
+    assert len(reads) == 2 * n_clips + 4
+    assert len(set(reads)) == len(reads)
+
+
+def test_evaluate_shared_reads_match_per_clip_scoring(tmp_path, rng):
+    store, clips = _populate_shared(tmp_path, rng, 6)
+    reference = gaussian_stats([Embedding(rng.normal(size=8)) for _ in range(5)])
+    row = evaluate_corpus(clips, store, reference)
+    # score_clip without a shared dict reads every entry itself
+    scores = [score_clip(c, store)[1] for c in clips]
+    for key in ("lcs", "correspondence", "intermediateness", "directionality"):
+        assert getattr(row, key) == sum(s[key] for s in scores) / len(scores)
+
+
+def test_evaluate_missing_shared_id_names_first_clip(tmp_path, rng):
+    store, clips = _populate_shared(tmp_path, rng, 4)
+    ghost = [EvalClip(c.clip_id, c.audio_id, c.latents_id, c.text_x_id, c.text_y_id,
+                      c.prompt_intended_id, "ghost") for c in clips[2:]]
+    reference = gaussian_stats([Embedding(rng.normal(size=8)) for _ in range(5)])
+    with pytest.raises(errors.MissingEmbedding, match="'clip2'.*ghost"):
+        evaluate_corpus(clips[:2] + ghost, store, reference)
+
+
+def test_evaluate_truncated_shared_entry_excludes_every_clip_naming_it(tmp_path, rng, monkeypatch):
+    store, clips = _populate_shared(tmp_path, rng, 5)
+    store.put("bad", rng.uniform(0.1, 1.0, size=(1, 8)))
+    bad_path = store.root / "bad.mxeb"
+    bad_path.write_bytes(bad_path.read_bytes()[:-4])
+    # clips 0, 2 and 4 name the truncated entry as their reversed prompt
+    clips = [EvalClip(c.clip_id, c.audio_id, c.latents_id, c.text_x_id, c.text_y_id,
+                      c.prompt_intended_id, "bad" if i % 2 == 0 else c.prompt_reversed_id)
+             for i, c in enumerate(clips)]
+    reference = gaussian_stats([Embedding(rng.normal(size=8)) for _ in range(5)])
+    reads = _count_reads(monkeypatch)
+    seen = []
+    row = evaluate_corpus(clips, store, reference, on_error=lambda cid, e: seen.append((cid, e)))
+    assert [cid for cid, _ in seen] == ["clip0", "clip2", "clip4"]
+    assert all(isinstance(e, errors.BadFormat) for _, e in seen)
+    assert (row.count, row.excluded) == (2, 3)
+    # a failed read is not kept: each clip that names the entry reads it again
+    assert reads.count(bad_path) == 3
+
+
+@pytest.mark.parametrize("which", ["audio", "latents", "shared"])
+def test_evaluate_non_finite_entry_excludes_clip(tmp_path, rng, which):
+    store, clips = _populate_shared(tmp_path, rng, 3)
+    clip = clips[1]
+    if which == "shared":
+        store.put("nan", np.full((1, 8), np.nan))
+        clips[1] = EvalClip(clip.clip_id, clip.audio_id, clip.latents_id, "nan",
+                            clip.text_y_id, clip.prompt_intended_id, clip.prompt_reversed_id)
+    else:
+        entry_id = clip.audio_id if which == "audio" else clip.latents_id
+        data = np.ones((1, 8)) if which == "audio" else np.ones((12, 8))
+        data[0, 3] = np.nan
+        store.put(entry_id, data)
+    reference = gaussian_stats([Embedding(rng.normal(size=8)) for _ in range(5)])
+    seen = []
+    row = evaluate_corpus(clips, store, reference, on_error=lambda cid, e: seen.append((cid, e)))
+    assert [cid for cid, _ in seen] == ["clip1"]
+    assert isinstance(seen[0][1], errors.BadFormat)
+    assert (row.count, row.excluded) == (2, 1)
+
+
+def test_evaluate_vanished_entry_file_excludes_clip(tmp_path, rng):
+    store, clips = _populate_shared(tmp_path, rng, 3)
+    (store.root / f"{clips[0].latents_id}.mxeb").unlink()
+    reference = gaussian_stats([Embedding(rng.normal(size=8)) for _ in range(5)])
+    seen = []
+    row = evaluate_corpus(clips, store, reference, on_error=lambda cid, e: seen.append((cid, e)))
+    assert [cid for cid, _ in seen] == ["clip0"]
+    assert isinstance(seen[0][1], errors.IoFailure)
+    assert row.count == 2
 
 
 # --- report rendering ---

@@ -1,9 +1,12 @@
+import contextlib
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphmix import errors, store as store_mod
@@ -143,3 +146,87 @@ def test_store_batch_records_puts_before_an_exception(tmp_path, rng):
             raise RuntimeError("boom")
     assert EmbeddingStore(root).ids() == ["first", "second"]
     assert not (root / "index.json.tmp").exists()
+
+
+def test_read_mxeb_unreadable_path_is_io_failure(tmp_path):
+    with pytest.raises(errors.IoFailure, match="gone.mxeb"):
+        read_mxeb(tmp_path / "gone.mxeb")
+    with pytest.raises(errors.IoFailure):
+        read_mxeb(tmp_path)  # a directory
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_is_bad_format(tmp_path, bad):
+    emb_path, lat_path = tmp_path / "e.mxeb", tmp_path / "l.mxeb"
+    write_mxeb(emb_path, np.array([[1.0, bad, 2.0]]))
+    write_mxeb(lat_path, np.array([[1.0, 2.0], [bad, 3.0]]))
+    with pytest.raises(errors.BadFormat, match="e.mxeb"):
+        read_embedding(emb_path)
+    with pytest.raises(errors.BadFormat, match="l.mxeb"):
+        read_latents(lat_path)
+
+
+def test_zero_column_embedding_is_bad_format(tmp_path):
+    path = tmp_path / "e.mxeb"
+    write_mxeb(path, np.zeros((1, 0)))
+    with pytest.raises(errors.BadFormat):
+        read_embedding(path)
+
+
+@pytest.mark.parametrize("bad_id", ["", ".", "..", "a/b", "../escaped", "a\\b", "nul\0"])
+def test_store_put_rejects_bad_ids(tmp_path, bad_id):
+    root = tmp_path / "store"
+    store = EmbeddingStore(root)
+    with pytest.raises(errors.BadId):
+        store.put(bad_id, np.zeros((1, 4)))
+    assert not root.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("good_id", ["a", "clip0.latents", "...", ".hidden", "with space"])
+def test_store_put_accepts_single_component_ids(tmp_path, good_id):
+    store = EmbeddingStore(tmp_path / "store")
+    store.put(good_id, np.ones((1, 4)))
+    assert EmbeddingStore(tmp_path / "store").embedding(good_id).dim == 4
+
+
+_put_ops = st.lists(
+    st.tuples(
+        st.booleans(),  # inside a batch() block
+        st.sampled_from(["a", "b", "c", "c.latents", "d"]),
+        st.integers(1, 3),  # rows
+        st.integers(-1000, 1000),  # value seed
+    ),
+    max_size=12,
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_put_ops)
+def test_store_roundtrips_interleaved_batched_and_unbatched_puts(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        store = EmbeddingStore(root)
+        expect = {}
+        i = 0
+        while i < len(ops):
+            batched = ops[i][0]
+            run = []
+            while i < len(ops) and ops[i][0] == batched:
+                run.append(ops[i])
+                i += 1
+            listed = sorted(expect)
+            block = store.batch() if batched else contextlib.nullcontext()
+            with block:
+                for _, entry_id, rows, value in run:
+                    matrix = np.full((rows, 3), value / 8.0) + np.arange(3)
+                    store.put(entry_id, matrix)
+                    expect[entry_id] = matrix
+                if batched:  # the on-disk index lists the block's puts only on exit
+                    assert EmbeddingStore(root).ids() == listed
+            # after each run, batched or not, the reopened store holds every put so far
+            reopened = EmbeddingStore(root)
+            assert reopened.ids() == sorted(expect)
+            for entry_id, matrix in expect.items():
+                assert np.array_equal(reopened.latents(entry_id).data, matrix)
+            assert not (root / "index.json.tmp").exists()
