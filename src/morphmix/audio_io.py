@@ -45,7 +45,8 @@ class Waveform:
         data = np.ascontiguousarray(data)
         if data.base is not None:
             # a view: its base could still be written through another reference,
-            # and results cached per Waveform rely on the samples never changing
+            # and results derived from a Waveform (mock_latents frames lent to
+            # mock_embed) are only valid while its samples stay the same
             data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)

@@ -12,7 +12,7 @@ from pathlib import Path
 from . import dataset, evaluate, metrics, store
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
-from .errors import MorphmixError
+from .errors import MorphmixError, TooShort
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -136,18 +136,29 @@ def cmd_embed_mock(args):
         return EXIT_USAGE
     if not _make_dir(Path(args.out_store)):
         return EXIT_USAGE
-    out = store.EmbeddingStore(args.out_store)
+    try:
+        out = store.EmbeddingStore(args.out_store)
+    except (MorphmixError, OSError) as e:
+        _err(str(e))
+        return EXIT_USAGE
     failures = 0
     with out.batch():
         for wav_path in sorted(audio_dir.glob("*.wav")):
             clip_id = wav_path.stem
             try:
                 w = load_wav(wav_path)
-                emb = metrics.mock_embed(w, dim=args.dim)
-                out.put(clip_id, emb.values[None, :])
+                lat = short = None
                 if args.latents:
-                    lat = metrics.mock_latents(w, dim=args.latent_dim)
+                    try:
+                        lat = metrics.mock_latents(w, dim=args.latent_dim)
+                    except TooShort as e:
+                        short = e  # the embedding is still stored
+                emb = metrics.mock_embed(w, dim=args.dim, latents=lat)
+                out.put(clip_id, emb.values[None, :])
+                if lat is not None:
                     out.put(f"{clip_id}.latents", lat.data)
+                if short is not None:
+                    raise short
             except MorphmixError as e:
                 failures += 1
                 print(f"failed {wav_path.name}: {e}", file=sys.stderr)

@@ -282,25 +282,9 @@ def _mel_filterbank(n_bands, n_bins, sample_rate):
 
 _LOG_FLOOR = 1e-10
 
-# (waveform, (n_bands, frame, hop), frames) of the last _logmel_frames call.
-# With the default dims, mock_embed and mock_latents frame a clip identically,
-# so the second call reuses the first's STFT. Holding the waveform keeps its
-# id from being reused, and its data is read-only, so the frames stay valid.
-_last_logmel = None
-
 
 def _logmel_frames(w, n_bands, frame, hop):
-    """Log-mel power per frame, (n_frames, n_bands); a fresh array on every call."""
-    global _last_logmel
-    key = (n_bands, frame, hop)
-    last = _last_logmel
-    if last is None or last[0] is not w or last[1] != key:
-        last = (w, key, _compute_logmel_frames(w, n_bands, frame, hop))
-        _last_logmel = last
-    return last[2].copy()
-
-
-def _compute_logmel_frames(w, n_bands, frame, hop):
+    """Log-mel power per frame, (n_frames, n_bands)."""
     x = to_mono(w).data[0].astype(np.float64)
     n_frames = max((len(x) - frame) // hop + 1, 0)
     if n_frames < 1:
@@ -315,11 +299,13 @@ def _compute_logmel_frames(w, n_bands, frame, hop):
     return out
 
 
-def mock_embed(w, dim=64, frame=2048, hop=512):
+def mock_embed(w, dim=64, frame=2048, hop=512, latents=None):
     """Deterministic embedding from log-mel band statistics.
 
     Not a perceptual model; a reproducible stand-in for neural encoders so
     the metric pipeline can run end to end without external weights.
+    latents=mock_latents(w) (same frame and hop) lends its frames in place of
+    an STFT when they are the ones this call takes; the result is the same.
     """
     if w.n_samples < 1:
         raise EmptyInput("cannot embed an empty waveform")
@@ -327,7 +313,11 @@ def mock_embed(w, dim=64, frame=2048, hop=512):
     frame = min(frame, max(w.n_samples, 16))
     hop = min(hop, frame)
     n_bands = max(dim // 2, 4)
-    frames = _logmel_frames(w, n_bands, frame, hop)
+    n_frames = (w.n_samples - frame) // hop + 1
+    if latents is not None and latents.data.shape == (n_frames, n_bands):
+        frames = latents.data
+    else:
+        frames = _logmel_frames(w, n_bands, frame, hop)
     if frames.shape[0] == 0:
         frames = _logmel_frames(w, n_bands, max(w.n_samples // 2, 8), max(w.n_samples // 4, 4))
     if frames.shape[0] == 0:

@@ -92,6 +92,8 @@ def read_gaussian_stats(path):
     t, d = m.shape
     if t != d + 1:
         raise BadFormat(f"{path}: stats need D+1 rows for D columns, got {t}x{d}")
+    if not np.all(np.isfinite(m)):
+        raise BadFormat(f"{path}: stats hold a NaN or infinite value")
     return GaussianStats(m[0], 0.5 * (m[1:] + m[1:].T), count=2)
 
 
@@ -107,7 +109,13 @@ class EmbeddingStore:
         index_path = self.root / self.INDEX
         if index_path.exists():
             with open(index_path, encoding="utf-8") as f:
-                self._index = json.load(f)["entries"]
+                try:
+                    index = json.load(f)
+                except ValueError as e:  # not JSON, or not UTF-8
+                    raise BadFormat(f"{index_path}: not a JSON index: {e}") from e
+            if not isinstance(index, dict) or not isinstance(index.get("entries"), dict):
+                raise BadFormat(f"{index_path}: no \"entries\" object")
+            self._index = index["entries"]
 
     def ids(self):
         return sorted(self._index)

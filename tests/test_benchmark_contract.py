@@ -3,7 +3,8 @@
 perfbench/spans.py patches the public functions it traces by name, and
 perfbench/run.py reports kernels.HAVE_NUMBA. A rename here would otherwise
 surface only inside a benchmark run. The traced metrics must also see the
-program's work as it is: the per-clip store reads of eval are one of them.
+program's work as it is: the per-clip store reads of eval and the one
+log-mel STFT per clip of embed-mock are two of them.
 """
 
 import importlib.util
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from morphmix import evaluate, kernels
+from morphmix import cli, evaluate, kernels
+from morphmix.audio_io import Waveform, save_wav
 from morphmix.evaluate import EvalClip
 from morphmix.metrics import Embedding, gaussian_stats
 from morphmix.store import EmbeddingStore
@@ -58,3 +60,23 @@ def test_traced_eval_reads_shared_entries_once(tmp_path):
     assert metrics["store.read_mxeb.calls"] == 2 * 10 + 4
     # six entries per clip when every clip read all of its own
     assert metrics["evaluate.reads_per_clip"] == 2.4 < 6
+
+
+def test_traced_embed_counts_each_clip_stft_once(tmp_path):
+    spans = _load_spans()
+    rng = np.random.default_rng(5)
+    lengths = (4000, 9000, 30001)
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    for i, n in enumerate(lengths):
+        data = rng.uniform(-0.3, 0.3, size=(1, n)).astype(np.float32)
+        save_wav(Waveform(data, 48000), audio_dir / f"c{i}.wav", bit_depth=32)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        code = cli.main(["embed-mock", str(audio_dir), "--out-store", str(tmp_path / "st"),
+                         "--latents"])
+    metrics = spans.layer_metrics(tracer.spans, 1)
+    assert code == 0
+    # one 2048-point rfft per frame at hop 512, under a traced mock_* span
+    assert metrics["metrics.fft.calls"] == sum((n - 2048) // 512 + 1 for n in lengths)
+    assert metrics["metrics.mock_embed.calls"] == metrics["metrics.mock_latents.calls"] == 3

@@ -151,7 +151,7 @@ def test_embed_mock_latents_matches_library_calls(tmp_path, rng):
     expect.mkdir()
     for name in "abc":
         path = audio_dir / f"{name}.wav"
-        # a fresh Waveform per call, so neither call can reuse the other's frames
+        # plain library calls, each framing the clip itself
         write_mxeb(expect / f"{name}.mxeb", mock_embed(load_wav(path)).values[None, :])
         write_mxeb(expect / f"{name}.latents.mxeb", mock_latents(load_wav(path)).data)
     assert sorted(p.name for p in out.iterdir()) == sorted(
@@ -174,6 +174,45 @@ def test_embed_mock_non_finite_clip(tmp_path, rng, capsys, latents):
     assert "failed b.wav: " in capsys.readouterr().err
     good = ["a", "a.latents", "c", "c.latents"] if latents else ["a", "c"]
     assert EmbeddingStore(tmp_path / "st").ids() == good
+
+
+def test_embed_mock_short_clip_stores_its_embedding_only(tmp_path, rng, capsys):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    save_wav(random_wave(rng, 9000), audio_dir / "normal.wav", bit_depth=32)
+    # under mock_latents' 3-frame minimum of 2048 + 2 * 512 samples
+    save_wav(random_wave(rng, 2000), audio_dir / "short.wav", bit_depth=32)
+    out = tmp_path / "st"
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(out), "--latents"]) == 1
+    failed = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("failed ")]
+    assert len(failed) == 1 and failed[0].startswith("failed short.wav: ")
+    assert EmbeddingStore(out).ids() == ["normal", "normal.latents", "short"]
+    expect = mock_embed(load_wav(audio_dir / "short.wav")).values
+    assert np.array_equal(EmbeddingStore(out).embedding("short").values, expect.astype("f4"))
+
+
+def test_embed_mock_latents_frames_each_clip_once(tmp_path, rng, logmel_calls):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    for name in "abc":
+        save_wav(random_wave(rng, 9000), audio_dir / f"{name}.wav", bit_depth=32)
+    out = tmp_path / "st"
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(out), "--latents"]) == 0
+    assert logmel_calls == [(32, 2048, 512)] * 3
+    assert len(EmbeddingStore(out).ids()) == 6
+
+
+@pytest.mark.parametrize("index", ["{not json", "[1]", '{"entries": []}', "\xff"])
+def test_embed_mock_malformed_store_index(tmp_path, wav_pair, capsys, index):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    (audio_dir / "a.wav").write_bytes(wav_pair[0].read_bytes())
+    out = tmp_path / "bad"
+    out.mkdir()
+    (out / "index.json").write_bytes(index.encode("latin-1"))
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in out.iterdir()) == ["index.json"]
 
 
 def test_embed_mock_directory_named_wav(tmp_path, rng, capsys):
@@ -372,3 +411,23 @@ def test_eval_vanished_entry_file_excludes_clip(tmp_path, rng, capsys):
     assert main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path), "--format", "csv"]) == 0
     assert capsys.readouterr().err.startswith("excluded c0: ")
+
+
+def test_eval_malformed_store_index(tmp_path, rng, capsys):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    (store.root / "index.json").write_text("{not json")
+    assert main(["eval", str(clips_path), "--store", str(store.root),
+                 "--reference", str(ref_path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error: ") and cap.out == ""
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eval_non_finite_reference_is_usage_error(tmp_path, rng, capsys, bad):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    write_mxeb(ref_path, np.full((9, 8), bad))
+    assert main(["eval", str(clips_path), "--store", str(store.root),
+                 "--reference", str(ref_path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error: ") and "ref.mxeb" in cap.err
+    assert "excluded" not in cap.err and cap.out == ""

@@ -352,39 +352,22 @@ def test_mock_rejects_non_finite(rng, fn, bad):
         fn(Waveform(data, 48000))
 
 
-def _count_logmel(monkeypatch):
-    computed = []
-    compute = metrics._compute_logmel_frames
-
-    def counting(w, n_bands, frame, hop):
-        computed.append((n_bands, frame, hop))
-        return compute(w, n_bands, frame, hop)
-
-    monkeypatch.setattr(metrics, "_compute_logmel_frames", counting)
-    return computed
-
-
 @pytest.mark.parametrize("channels", [1, 2])
 @pytest.mark.parametrize("dim, shared", [(64, True), (128, False)])
-def test_mock_latents_after_mock_embed_matches_uncached(rng, monkeypatch, channels, dim, shared):
+def test_mock_latents_after_mock_embed_matches_uncached(rng, logmel_calls, channels, dim, shared):
     w = random_wave(rng, 30000, channels=channels)
-    computed = _count_logmel(monkeypatch)
-    emb = mock_embed(w, dim=dim)
-    lat = mock_latents(w, dim=32)
+    emb = mock_embed(w, dim=dim, latents=mock_latents(w, 32))
     # dim=64 frames with 32 bands, as latent_dim=32 does; dim=128 needs 64 bands
-    assert len(computed) == (1 if shared else 2)
-    # a new Waveform object never hits the memo: this is the uncached computation
-    fresh = lambda: Waveform(w.data.copy(), w.sample_rate)  # noqa: E731
-    assert np.array_equal(emb.values, mock_embed(fresh(), dim=dim).values)
-    assert np.array_equal(lat.data, mock_latents(fresh(), dim=32).data)
+    assert len(logmel_calls) == (1 if shared else 2)
+    assert np.array_equal(emb.values, mock_embed(w, dim=dim).values)
 
 
-def test_logmel_memo_returns_independent_copies(rng):
-    w = random_wave(rng, 8000)
-    first = metrics._logmel_frames(w, 32, 2048, 512)
-    expect = first.copy()
-    first[:] = 0.0
-    assert np.array_equal(metrics._logmel_frames(w, 32, 2048, 512), expect)
+@pytest.mark.parametrize("frame, hop", [(1024, 512), (2048, 256)])
+def test_mock_embed_frames_itself_when_latents_frame_differently(rng, logmel_calls, frame, hop):
+    w = random_wave(rng, 30000)
+    emb = mock_embed(w, latents=mock_latents(w, 32, frame=frame, hop=hop))
+    assert logmel_calls == [(32, frame, hop), (32, 2048, 512)]
+    assert np.array_equal(emb.values, mock_embed(w).values)
 
 
 def test_mel_filterbank_cached_read_only():

@@ -166,6 +166,25 @@ def test_non_finite_payload_is_bad_format(tmp_path, bad):
         read_latents(lat_path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 3])  # the mean, a covariance row
+def test_non_finite_gaussian_stats_are_bad_format(tmp_path, rng, bad, row):
+    path = tmp_path / "ref.mxeb"
+    write_gaussian_stats(path, gaussian_stats([Embedding(rng.normal(size=4)) for _ in range(6)]))
+    m = read_mxeb(path)
+    m[row, 1] = bad
+    write_mxeb(path, m)
+    with pytest.raises(errors.BadFormat, match="ref.mxeb"):
+        read_gaussian_stats(path)
+
+
+@pytest.mark.parametrize("index", ["{not json", "", "[1]", '{"other": {}}', '{"entries": ["a"]}'])
+def test_malformed_index_is_bad_format(tmp_path, index):
+    (tmp_path / "index.json").write_text(index)
+    with pytest.raises(errors.BadFormat, match="index.json"):
+        EmbeddingStore(tmp_path)
+
+
 def test_zero_column_embedding_is_bad_format(tmp_path):
     path = tmp_path / "e.mxeb"
     write_mxeb(path, np.zeros((1, 0)))
