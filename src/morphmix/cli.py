@@ -134,6 +134,10 @@ def cmd_embed_mock(args):
     if not audio_dir.is_dir():
         _err(f"not a directory: {args.audio_dir}")
         return EXIT_USAGE
+    for flag, value in (("--dim", args.dim), ("--latent-dim", args.latent_dim)):
+        if value < 1:
+            _err(f"{flag} must be >= 1, got {value}")
+            return EXIT_USAGE
     if not _make_dir(Path(args.out_store)):
         return EXIT_USAGE
     try:

@@ -46,11 +46,16 @@ def read_mxeb(path):
             if header[4] != VERSION:
                 raise BadFormat(f"{path}: unsupported version {header[4]}")
             t, d = struct.unpack("<II", header[5:13])
-            body = f.read(4 * t * d)
+            size = 4 * t * d
+            # checked before the read, so a corrupt header cannot ask for 16 GiB
+            have = os.fstat(f.fileno()).st_size - 13
+            if have != size:
+                raise BadFormat(f"{path}: expected {size} payload bytes, got {have}")
+            body = f.read(size)
     except OSError as e:
         raise IoFailure(f"{path}: {e.strerror or e}") from e
-    if len(body) != 4 * t * d:
-        raise BadFormat(f"{path}: expected {4 * t * d} payload bytes, got {len(body)}")
+    if len(body) != size:
+        raise BadFormat(f"{path}: expected {size} payload bytes, got {len(body)}")
     return np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t, d)
 
 
@@ -105,7 +110,7 @@ class EmbeddingStore:
     def __init__(self, root):
         self.root = Path(root)
         self._index = {}
-        self._batched = False
+        self._batch_depth = 0
         index_path = self.root / self.INDEX
         if index_path.exists():
             with open(index_path, encoding="utf-8") as f:
@@ -145,7 +150,7 @@ class EmbeddingStore:
         filename = f"{entry_id}.mxeb"
         write_mxeb(self.root / filename, matrix)
         self._index[entry_id] = filename
-        if not self._batched:
+        if not self._batch_depth:
             self._flush()
 
     @contextlib.contextmanager
@@ -154,16 +159,20 @@ class EmbeddingStore:
 
         The directory and a valid index exist from entry on, so the store can
         be opened meanwhile; it lists the new entries only after the block
-        exits. The exit write runs even when the block raises.
+        exits. The exit write runs even when the block raises. A nested
+        batch() writes nothing itself: the outermost block's entry and exit
+        writes cover it.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._flush()
-        self._batched = True
+        if not self._batch_depth:
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._flush()
+        self._batch_depth += 1
         try:
             yield self
         finally:
-            self._batched = False
-            self._flush()
+            self._batch_depth -= 1
+            if not self._batch_depth:
+                self._flush()
 
     def _flush(self):
         """Replace index.json atomically: readers see the old index or the new one."""

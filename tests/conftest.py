@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from morphmix import metrics
-from morphmix.audio_io import Waveform
+from morphmix.audio_io import Waveform, to_mono
 
 
 def make_wave(samples, sr=48000):
@@ -12,6 +12,25 @@ def make_wave(samples, sr=48000):
 def random_wave(rng, n, sr=48000, amp=0.3, channels=1):
     data = rng.uniform(-amp, amp, size=(channels, n)).astype(np.float32)
     return Waveform(data, sr)
+
+
+def per_frame_logmel(w, n_bands, frame, hop):
+    """Reference log-mel: one rfft and one mel matrix-vector product per frame.
+
+    metrics._logmel_frames takes its frames in blocks and must match this
+    bit for bit.
+    """
+    x = to_mono(w).data[0].astype(np.float64)
+    n_frames = max((len(x) - frame) // hop + 1, 0)
+    if n_frames < 1:
+        return np.empty((0, n_bands))
+    fb = metrics._mel_filterbank(n_bands, frame // 2 + 1, w.sample_rate)
+    win = np.hanning(frame)
+    out = np.empty((n_frames, n_bands))
+    for k in range(n_frames):
+        power = np.abs(np.fft.rfft(x[k * hop:k * hop + frame] * win)) ** 2
+        out[k] = np.log(fb @ power + metrics._LOG_FLOOR)
+    return out
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ log-mel STFT per clip of embed-mock are two of them.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from morphmix import cli, evaluate, kernels
 from morphmix.audio_io import Waveform, save_wav
 from morphmix.evaluate import EvalClip
-from morphmix.metrics import Embedding, gaussian_stats
+from morphmix.metrics import _STFT_BLOCK, Embedding, gaussian_stats
 from morphmix.store import EmbeddingStore
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -77,6 +78,8 @@ def test_traced_embed_counts_each_clip_stft_once(tmp_path):
                          "--latents"])
     metrics = spans.layer_metrics(tracer.spans, 1)
     assert code == 0
-    # one 2048-point rfft per frame at hop 512, under a traced mock_* span
-    assert metrics["metrics.fft.calls"] == sum((n - 2048) // 512 + 1 for n in lengths)
+    # one rfft per block of _STFT_BLOCK 2048-point frames at hop 512, under a
+    # traced mock_* span
+    assert metrics["metrics.fft.calls"] == sum(
+        math.ceil(((n - 2048) // 512 + 1) / _STFT_BLOCK) for n in lengths)
     assert metrics["metrics.mock_embed.calls"] == metrics["metrics.mock_latents.calls"] == 3

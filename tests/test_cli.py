@@ -1,16 +1,18 @@
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from morphmix import metrics
 from morphmix.audio_io import Waveform, load_wav, save_wav
 from morphmix.cli import main
 from morphmix.metrics import Embedding, gaussian_stats, mock_embed, mock_latents
 from morphmix.store import EmbeddingStore, write_gaussian_stats, write_mxeb
 
-from conftest import random_wave
+from conftest import per_frame_logmel, random_wave
 
 
 @pytest.fixture
@@ -158,6 +160,38 @@ def test_embed_mock_latents_matches_library_calls(tmp_path, rng):
         [p.name for p in expect.iterdir()] + ["index.json"])
     for f in expect.iterdir():
         assert (out / f.name).read_bytes() == f.read_bytes(), f.name
+
+
+def test_embed_mock_latents_matches_per_frame_stft(tmp_path, rng, monkeypatch):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    # 10, 55 (7 mod 8) and 90 frames at hop 512
+    for name, n, channels, bits in (("a", 6700, 1, 16), ("b", 30001, 2, 24), ("c", 47700, 2, 32)):
+        save_wav(random_wave(rng, n, channels=channels), audio_dir / f"{name}.wav", bits)
+    out = tmp_path / "st"
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(out), "--latents"]) == 0
+    monkeypatch.setattr(metrics, "_logmel_frames", per_frame_logmel)
+    for name in "abc":
+        w = load_wav(audio_dir / f"{name}.wav")
+        expect = tmp_path / "expect.mxeb"
+        write_mxeb(expect, mock_embed(w).values[None, :])
+        assert (out / f"{name}.mxeb").read_bytes() == expect.read_bytes(), name
+        write_mxeb(expect, mock_latents(w).data)
+        assert (out / f"{name}.latents.mxeb").read_bytes() == expect.read_bytes(), name
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dim", "0"], ["--dim", "-3"],
+    ["--latent-dim", "-1", "--latents"], ["--latent-dim", "0", "--latents"],
+])
+def test_embed_mock_rejects_dims_below_one(tmp_path, wav_pair, capsys, flags):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    (audio_dir / "a.wav").write_bytes(wav_pair[0].read_bytes())
+    out = tmp_path / "st"
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(out)] + flags) == 2
+    assert capsys.readouterr().err == f"error: {flags[0]} must be >= 1, got {flags[1]}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("latents", [False, True])
@@ -431,3 +465,14 @@ def test_eval_non_finite_reference_is_usage_error(tmp_path, rng, capsys, bad):
     cap = capsys.readouterr()
     assert cap.err.startswith("error: ") and "ref.mxeb" in cap.err
     assert "excluded" not in cap.err and cap.out == ""
+
+
+@pytest.mark.parametrize("rows_cols", [(65536, 65536), (0xFFFFFFFF, 0xFFFFFFFF)])
+def test_eval_huge_entry_header_excludes_clip(tmp_path, rng, capsys, rows_cols):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    (store.root / "c1.audio.mxeb").write_bytes(b"MXEB\x01" + struct.pack("<II", *rows_cols))
+    assert main(["eval", str(clips_path), "--store", str(store.root),
+                 "--reference", str(ref_path), "--format", "csv"]) == 0
+    cap = capsys.readouterr()
+    assert cap.err.startswith("excluded c1: ") and "payload bytes" in cap.err
+    assert len(cap.out.splitlines()) == 2

@@ -25,7 +25,7 @@ from morphmix.metrics import (
     spearman_rho,
 )
 
-from conftest import make_wave, random_wave
+from conftest import make_wave, per_frame_logmel, random_wave
 
 sims = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -374,3 +374,47 @@ def test_mel_filterbank_cached_read_only():
     fb = metrics._mel_filterbank(32, 1025, 48000)
     assert metrics._mel_filterbank(32, 1025, 48000) is fb
     assert not fb.flags.writeable
+
+
+def test_hann_window_cached_read_only():
+    win = metrics._hann(2048)
+    assert metrics._hann(2048) is win
+    assert not win.flags.writeable
+    assert np.array_equal(win, np.hanning(2048))
+
+
+@st.composite
+def _stft_cases(draw):
+    """(n_samples, channels, n_bands, frame, hop) over 0 to 40 frames.
+
+    Half the cases use the short-clip frame and hop mock_embed falls back to.
+    """
+    channels = draw(st.integers(1, 2))
+    n_bands = draw(st.integers(4, 64))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4000))
+        return n, channels, n_bands, max(n // 2, 8), max(n // 4, 4)
+    frame, hop = 2048, 512
+    n_frames = draw(st.integers(0, 40))
+    n = frame + (n_frames - 1) * hop + draw(st.integers(0, hop - 1))
+    return n, channels, n_bands, frame, hop
+
+
+@given(case=_stft_cases(), seed=st.integers(0, 2**16))
+@settings(max_examples=80, deadline=None)
+def test_blocked_logmel_equals_per_frame_stft(case, seed):
+    n, channels, n_bands, frame, hop = case
+    w = random_wave(np.random.default_rng(seed), n, channels=channels)
+    got = metrics._logmel_frames(w, n_bands, frame, hop)
+    assert np.array_equal(got, per_frame_logmel(w, n_bands, frame, hop))
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_blocked_logmel_every_block_remainder(rng, channels):
+    # 0..40 frames covers each remainder mod the block size several times
+    for n_frames in range(41):
+        n = 2048 + (n_frames - 1) * 512 + 100
+        w = random_wave(rng, n, channels=channels)
+        got = metrics._logmel_frames(w, 32, 2048, 512)
+        assert got.shape == (n_frames, 32)
+        assert np.array_equal(got, per_frame_logmel(w, 32, 2048, 512)), n_frames

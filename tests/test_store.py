@@ -73,6 +73,23 @@ def test_short_payload(tmp_path):
         read_mxeb(path)
 
 
+@pytest.mark.parametrize("rows_cols", [(65536, 65536), (0xFFFFFFFF, 0xFFFFFFFF)])
+def test_huge_header_is_bad_format_before_reading(tmp_path, rows_cols):
+    # a 13-byte file declaring 16 GiB (or more than fits in a size_t) of payload
+    path = tmp_path / "x.mxeb"
+    path.write_bytes(b"MXEB" + bytes([1]) + struct.pack("<II", *rows_cols))
+    with pytest.raises(errors.BadFormat, match="got 0"):
+        read_mxeb(path)
+
+
+def test_trailing_payload_is_bad_format(tmp_path):
+    path = tmp_path / "x.mxeb"
+    write_mxeb(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(errors.BadFormat):
+        read_mxeb(path)
+
+
 def test_stats_shape_check(tmp_path):
     path = tmp_path / "x.mxeb"
     write_mxeb(path, np.zeros((3, 5), dtype=np.float32))
@@ -249,3 +266,33 @@ def test_store_roundtrips_interleaved_batched_and_unbatched_puts(ops):
             for entry_id, matrix in expect.items():
                 assert np.array_equal(reopened.latents(entry_id).data, matrix)
             assert not (root / "index.json.tmp").exists()
+
+
+def test_nested_batch_writes_index_once_per_outer_block(tmp_path, monkeypatch):
+    store = EmbeddingStore(tmp_path / "store")
+    writes = []
+    flush = store._flush
+    monkeypatch.setattr(store, "_flush", lambda: (writes.append(len(store.ids())), flush()))
+    with store.batch():
+        store.put("a", np.ones((1, 4)))
+        with store.batch():
+            store.put("b", np.ones((1, 4)))
+        store.put("c", np.ones((1, 4)))
+        store.put("d", np.ones((1, 4)))
+        assert EmbeddingStore(tmp_path / "store").ids() == []
+    # one write on entry to the outer block, one on its exit
+    assert writes == [0, 4]
+    assert EmbeddingStore(tmp_path / "store").ids() == ["a", "b", "c", "d"]
+    store.put("e", np.ones((1, 4)))  # unbatched again after the outer exit
+    assert writes == [0, 4, 5]
+
+
+def test_nested_batch_exit_on_error_keeps_outer_batching(tmp_path):
+    store = EmbeddingStore(tmp_path / "store")
+    with store.batch():
+        with pytest.raises(RuntimeError), store.batch():
+            store.put("a", np.ones((1, 4)))
+            raise RuntimeError("inner block fails")
+        store.put("b", np.ones((1, 4)))
+        assert EmbeddingStore(tmp_path / "store").ids() == []
+    assert EmbeddingStore(tmp_path / "store").ids() == ["a", "b"]
