@@ -5,8 +5,6 @@ under their own format tags or WAVE_FORMAT_EXTENSIBLE. Integer PCM is scaled
 by 2^(bits-1) so integer files round-trip exactly.
 """
 
-import contextlib
-import os
 import struct
 from dataclasses import dataclass
 
@@ -19,6 +17,7 @@ from .errors import (
     NonFiniteInput,
     TruncatedData,
     UnsupportedEncoding,
+    write_atomic,
 )
 
 _FMT_PCM = 1
@@ -168,11 +167,9 @@ def save_wav(w, path, bit_depth=32):
         fmt_tag, bits = _FMT_PCM, 16
     else:
         q = _quantize(frames, 24).ravel()
-        b = np.empty((len(q), 3), dtype=np.uint8)
-        u = q.astype(np.int64) & 0xFFFFFF
-        b[:, 0] = u & 0xFF
-        b[:, 1] = (u >> 8) & 0xFF
-        b[:, 2] = (u >> 16) & 0xFF
+        b = np.empty(len(q), _PCM24)
+        b["lo"] = q & 0xFFFF
+        b["hi"] = q >> 16
         payload = b.tobytes()
         fmt_tag, bits = _FMT_PCM, 24
 
@@ -188,16 +185,7 @@ def save_wav(w, path, bit_depth=32):
         + b"data" + struct.pack("<I", len(payload)) + payload
         + (b"\x00" if len(payload) & 1 else b"")
     )
-    # write a temp file and rename it over path, so path holds the old file or the new one
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(b"RIFF" + struct.pack("<I", len(body)) + body)
-        os.replace(tmp, path)
-    except OSError as e:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise IoFailure(f"{path}: {e}") from e
+    write_atomic(path, b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 def to_mono(w):

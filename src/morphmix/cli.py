@@ -5,6 +5,7 @@ Diagnostics go to stderr; machine-readable output to stdout.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 from . import dataset, evaluate, metrics, store
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
-from .errors import MorphmixError, TooShort
+from .errors import IoFailure, MorphmixError, TooShort
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -50,25 +51,16 @@ def load_config(path=None):
 
 def _add_param_flags(parser):
     parser.add_argument("--config", help="config JSON (flags override its values)")
-    parser.add_argument("--rms-frame-size", type=int)
-    parser.add_argument("--rms-hop", type=int)
-    parser.add_argument("--eq-smooth-window", type=int)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--output-peak", type=float)
+    for f in dataclasses.fields(AugmentParams):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
 
 def _params_from_args(args, params):
-    overrides = {
-        "rms_frame_size": args.rms_frame_size,
-        "rms_hop": args.rms_hop,
-        "eq_smooth_window": args.eq_smooth_window,
-        "epsilon": args.epsilon,
-        "output_peak": args.output_peak,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if overrides:
-        params = AugmentParams(**{**params.__dict__, **overrides})
-    return params
+    """params with each AugmentParams field given as a flag replaced; validates again."""
+    return dataclasses.replace(params, **{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(params)
+        if getattr(args, f.name) is not None
+    })
 
 
 def cmd_augment(args):
@@ -118,9 +110,13 @@ def cmd_build(args):
         return EXIT_USAGE
     if not _make_dir(Path(args.out_dir) / "audio"):
         return EXIT_USAGE
-    entries = dataset.build_dataset(
-        pairs, dist, window, params, seed, args.out_dir, jobs=args.jobs
-    )
+    try:
+        entries = dataset.build_dataset(
+            pairs, dist, window, params, seed, args.out_dir, jobs=args.jobs
+        )
+    except IoFailure as e:  # the manifest write
+        _err(str(e))
+        return EXIT_FAILURE
     failed = sum(1 for e in entries if e.failed)
     print(f"{len(entries) - failed} built, {failed} failed")
     for entry in entries:

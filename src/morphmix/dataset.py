@@ -9,7 +9,6 @@ draw sequence of any pair.
 import dataclasses
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
-from .errors import BadId, EmptyLabel, InvalidDistribution, MorphmixError, check_id
+from .errors import BadId, EmptyLabel, InvalidDistribution, MorphmixError, check_id, write_atomic
 
 MODE_ORDER = (
     AugmentationMode.RMS_ONLY,
@@ -61,7 +60,7 @@ class ModeDistribution:
             raise InvalidDistribution(f"probabilities sum to {sum(probs)!r}, expected 1")
 
     def as_tuple(self):
-        return (self.rms, self.spectral, self.both, self.none)
+        return dataclasses.astuple(self)
 
 
 @dataclass(frozen=True)
@@ -94,33 +93,15 @@ class ManifestEntry:
         return bool(self.error)
 
     def to_dict(self):
-        return {
-            "id": self.id,
-            "audio_path": self.audio_path,
-            "mode": self.mode.value,
-            "caption": self.caption,
-            "window": {"t_start": self.window.t_start, "t_end": self.window.t_end},
-            "primary_label": self.primary_label,
-            "secondary_label": self.secondary_label,
-            "params": dataclasses.asdict(self.params),
-            "seed": self.seed,
-            "error": self.error,
-        }
+        return {**dataclasses.asdict(self), "mode": self.mode.value}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            id=d["id"],
-            audio_path=d["audio_path"],
-            mode=AugmentationMode(d["mode"]),
-            caption=d["caption"],
-            window=TimestepWindow(**d["window"]),
-            primary_label=d["primary_label"],
-            secondary_label=d["secondary_label"],
-            params=AugmentParams(**d["params"]),
-            seed=d["seed"],
-            error=d.get("error", ""),
-        )
+        """Inverse of to_dict; keys that are not fields are ignored, a missing error is ""."""
+        kw = {f.name: d[f.name] for f in dataclasses.fields(cls) if f.name in d}
+        kw.update(mode=AugmentationMode(d["mode"]), window=TimestepWindow(**d["window"]),
+                  params=AugmentParams(**d["params"]))
+        return cls(**kw)
 
 
 def pair_seed(seed, pair_id):
@@ -219,7 +200,8 @@ def build_dataset(pairs, dist, window, params, seed, out_dir, jobs=1):
     Failed pairs become manifest entries with an error field; the build
     continues. Manifest order always matches input order. jobs (>= 1) is
     the number of worker threads. Bad pair ids raise BadId before anything
-    is written.
+    is written; a manifest that cannot be written raises IoFailure and
+    leaves the previous one in place.
     """
     check_pair_ids(pairs)
     out_dir = Path(out_dir)
@@ -230,13 +212,8 @@ def build_dataset(pairs, dist, window, params, seed, out_dir, jobs=1):
         entries = list(pool.map(
             lambda p: _build_one(p, dist, window, params, seed, audio_dir), pairs))
 
-    # a temp file renamed over the manifest: readers see the old manifest or the new one
-    tmp = out_dir / "manifest.jsonl.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        for entry in entries:
-            json.dump(entry.to_dict(), f, sort_keys=True)
-            f.write("\n")
-    os.replace(tmp, out_dir / "manifest.jsonl")
+    manifest = "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in entries)
+    write_atomic(out_dir / "manifest.jsonl", manifest.encode("utf-8"))
     return entries
 
 

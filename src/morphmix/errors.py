@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package, and the id check behind BadId."""
+"""Exception hierarchy shared across the package, the id check behind BadId,
+and the atomic file write behind IoFailure."""
+
+import contextlib
+import os
 
 
 class MorphmixError(Exception):
@@ -135,3 +139,19 @@ def check_id(entry_id):
     name = str(entry_id)
     if name in ("", ".", "..") or "/" in name or "\\" in name or "\0" in name:
         raise BadId(f"id {entry_id!r} is not a single path component")
+
+
+def write_atomic(path, data):
+    """Write bytes to <path>.tmp and rename it over path: path holds the old file or the new one.
+
+    A failed write or rename removes the temp file and raises IoFailure.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except OSError as e:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise IoFailure(f"{path}: {e}") from e

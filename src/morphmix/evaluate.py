@@ -1,5 +1,6 @@
 """Corpus evaluation: prompt expansion, per-clip scoring, report rendering."""
 
+import dataclasses
 import io
 from dataclasses import dataclass
 from importlib import resources
@@ -24,9 +25,7 @@ DEFAULT_PROMPT_TEMPLATE = "behavior of {X} with timbre like {Y}"
 
 METRIC_COLUMNS = ("lcs", "correspondence", "intermediateness", "directionality", "fad")
 COLUMN_TITLES = ("model", "LCS", "Correspond.", "Intermediate.", "Direct.", "FAD")
-# FAD is the only lower-is-better column
-HIGHER_IS_BETTER = {"lcs": True, "correspondence": True, "intermediateness": True,
-                    "directionality": True, "fad": False}
+LOWER_IS_BETTER = ("fad",)
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,7 @@ class EvalClip:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{k: d[k] for k in (
-            "clip_id", "audio_id", "latents_id", "text_x_id", "text_y_id",
-            "prompt_intended_id", "prompt_reversed_id",
-        )})
+        return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -87,18 +83,10 @@ def expand_prompts(pairs, template=DEFAULT_PROMPT_TEMPLATE):
         raise BadTemplate(f"template must contain {{X}} and {{Y}} slots: {template!r}")
     prompts = []
     for pair in pairs:
-        prompts.append(InfusionPrompt(
-            primary_label=pair.x_label,
-            secondary_label=pair.y_label,
-            prompt_text=template.replace("{X}", pair.x_label).replace("{Y}", pair.y_label),
-            direction="forward",
-        ))
-        prompts.append(InfusionPrompt(
-            primary_label=pair.y_label,
-            secondary_label=pair.x_label,
-            prompt_text=template.replace("{X}", pair.y_label).replace("{Y}", pair.x_label),
-            direction="reverse",
-        ))
+        for x, y, direction in ((pair.x_label, pair.y_label, "forward"),
+                                (pair.y_label, pair.x_label, "reverse")):
+            text = template.replace("{X}", x).replace("{Y}", y)
+            prompts.append(InfusionPrompt(x, y, text, direction))
     return prompts
 
 
@@ -181,10 +169,7 @@ def evaluate_corpus(clips, store, reference, params=DirectionalityParams(),
         pooled.append(audio)
     if not per_clip:
         raise EmptyInput("every clip failed metric computation")
-    means = {
-        key: sum(s[key] for s in per_clip) / len(per_clip) for key in
-        ("lcs", "correspondence", "intermediateness", "directionality")
-    }
+    means = {key: sum(s[key] for s in per_clip) / len(per_clip) for key in per_clip[0]}
     if len(pooled) == 1:
         # a single clip still yields a row; the pooled fit degenerates to a
         # point mass at its embedding
@@ -193,16 +178,7 @@ def evaluate_corpus(clips, store, reference, params=DirectionalityParams(),
     else:
         pooled_stats = gaussian_stats(pooled)
     fad = frechet_distance(pooled_stats, reference)
-    return EvalRow(
-        model_name=model_name,
-        lcs=means["lcs"],
-        correspondence=means["correspondence"],
-        intermediateness=means["intermediateness"],
-        directionality=means["directionality"],
-        fad=fad,
-        count=len(per_clip),
-        excluded=excluded,
-    )
+    return EvalRow(model_name, **means, fad=fad, count=len(per_clip), excluded=excluded)
 
 
 def _best_indices(rows):
@@ -210,7 +186,7 @@ def _best_indices(rows):
     best = {}
     for key in METRIC_COLUMNS:
         values = [getattr(r, key) for r in rows]
-        pick = max if HIGHER_IS_BETTER[key] else min
+        pick = min if key in LOWER_IS_BETTER else max
         best[key] = values.index(pick(values))
     return best
 

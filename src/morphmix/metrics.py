@@ -314,6 +314,11 @@ def _logmel_frames(w, n_bands, frame, hop):
     return np.log(out + _LOG_FLOOR)
 
 
+def _check_framing(frame, hop):
+    if frame < 1 or hop < 1:
+        raise ValueError(f"frame and hop must be >= 1, got frame={frame}, hop={hop}")
+
+
 def mock_embed(w, dim=64, frame=2048, hop=512, latents=None):
     """Deterministic embedding from log-mel band statistics.
 
@@ -322,6 +327,7 @@ def mock_embed(w, dim=64, frame=2048, hop=512, latents=None):
     latents=mock_latents(w) (same frame and hop) lends its frames in place of
     an STFT when they are the ones this call takes; the result is the same.
     """
+    _check_framing(frame, hop)
     if w.n_samples < 1:
         raise EmptyInput("cannot embed an empty waveform")
     require_finite(w)
@@ -350,6 +356,7 @@ def mock_embed(w, dim=64, frame=2048, hop=512, latents=None):
 
 def mock_latents(w, dim=32, frame=2048, hop=512):
     """Deterministic per-frame log-mel latent matrix (stand-in for codec latents)."""
+    _check_framing(frame, hop)
     require_finite(w)
     if w.n_samples < frame + 2 * hop:
         raise TooShort(

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadFormat, IoFailure, MissingEmbedding, check_id
+from .errors import BadFormat, IoFailure, MissingEmbedding, check_id, write_atomic
 from .metrics import Embedding, GaussianStats, LatentMatrix
 
 MAGIC = b"MXEB"
@@ -22,18 +22,21 @@ VERSION = 1
 
 
 def write_mxeb(path, matrix):
-    """Write a 2-D float array as an MXEB file."""
+    """Write a 2-D float array as an MXEB file; IoFailure if it cannot be written."""
     m = np.asarray(matrix, dtype="<f4")
     if m.ndim == 1:
         m = m[np.newaxis, :]
     if m.ndim != 2:
         raise ValueError(f"expected a 1-D or 2-D array, got ndim={m.ndim}")
     t, d = m.shape
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(bytes([VERSION]))
-        f.write(struct.pack("<II", t, d))
-        f.write(np.ascontiguousarray(m).tobytes())
+    try:
+        with open(path, "wb") as f:
+            f.write(MAGIC)
+            f.write(bytes([VERSION]))
+            f.write(struct.pack("<II", t, d))
+            f.write(np.ascontiguousarray(m).tobytes())
+    except OSError as e:
+        raise IoFailure(f"{path}: {e.strerror or e}") from e
 
 
 def read_mxeb(path):
@@ -176,10 +179,7 @@ class EmbeddingStore:
 
     def _flush(self):
         """Replace index.json atomically: readers see the old index or the new one."""
-        tmp = self.root / (self.INDEX + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(_index_json(self._index))
-        os.replace(tmp, self.root / self.INDEX)
+        write_atomic(self.root / self.INDEX, _index_json(self._index).encode("utf-8"))
 
 
 def _index_json(index):

@@ -14,6 +14,23 @@ def random_wave(rng, n, sr=48000, amp=0.3, channels=1):
     return Waveform(data, sr)
 
 
+class HalfWriter:
+    """A file whose write stores half the bytes, then fails like a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, b):
+        self.f.write(b[:len(b) // 2])
+        raise OSError("disk full")
+
+
 def per_frame_logmel(w, n_bands, frame, hop):
     """Reference log-mel: one rfft and one mel matrix-vector product per frame.
 

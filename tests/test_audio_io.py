@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphmix import audio_io, errors
+from morphmix import errors
 from morphmix.audio_io import Waveform, load_wav, save_wav, to_mono
 
-from conftest import make_wave, random_wave
+from conftest import HalfWriter, make_wave, random_wave
 
 
 def data_chunk(path):
@@ -112,7 +112,8 @@ def test_roundtrip_property_every_format(bits, channels, n, seed):
         save_wav(w, path, bit_depth=bits)
         got = load_wav(path)
         save_wav(got, again, bit_depth=bits)
-        assert data_chunk(again) == data_chunk(path)
+        payload = data_chunk(path)
+        assert data_chunk(again) == payload
     assert got.sample_rate == 44100
     assert got.data.shape == (channels, n)
     if bits == 32:
@@ -123,6 +124,11 @@ def test_roundtrip_property_every_format(bits, channels, n, seed):
         c = np.clip(w.data.astype(np.float64), -1, 1) * scale
         q = np.clip(np.where(c >= 0, np.floor(c + 0.5), np.ceil(c - 0.5)), -scale, scale - 1)
         assert np.array_equal(got.data, (q / scale).astype(np.float32))
+    if bits == 24:
+        # oracle encoder: three masked byte columns per little-endian sample, frame-major
+        u = q.T.ravel().astype(np.int64) & 0xFFFFFF
+        columns = np.stack([u & 0xFF, (u >> 8) & 0xFF, (u >> 16) & 0xFF], axis=1)
+        assert payload == columns.astype(np.uint8).tobytes()
 
 
 def _pcm24_reference(payload, channels):
@@ -228,21 +234,8 @@ def test_save_wav_failure_keeps_previous_file(tmp_path, rng, monkeypatch):
     save_wav(random_wave(rng, 1000), path, bit_depth=16)
     before = path.read_bytes()
 
-    class HalfWriter:
-        def __init__(self, f):
-            self.f = f
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.f.close()
-
-        def write(self, b):
-            self.f.write(b[:len(b) // 2])
-            raise OSError("disk full")
-
-    monkeypatch.setattr(audio_io, "open", lambda p, mode: HalfWriter(open(p, mode)),
+    # the fault is injected into the atomic writer that save_wav calls
+    monkeypatch.setattr(errors, "open", lambda p, mode: HalfWriter(open(p, mode)),
                         raising=False)
     with pytest.raises(errors.IoFailure):
         save_wav(random_wave(rng, 2000), path, bit_depth=32)

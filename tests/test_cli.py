@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -9,6 +10,7 @@ import pytest
 from morphmix import metrics
 from morphmix.audio_io import Waveform, load_wav, save_wav
 from morphmix.cli import main
+from morphmix.dsp import AugmentParams
 from morphmix.metrics import Embedding, gaussian_stats, mock_embed, mock_latents
 from morphmix.store import EmbeddingStore, write_gaussian_stats, write_mxeb
 
@@ -118,6 +120,43 @@ def test_config_window_not_an_object_is_usage_error(tmp_path, wav_pair, capsys):
     p, s = wav_pair
     assert main(["augment", str(p), str(s), "--out", str(tmp_path / "o.wav"),
                  "--config", str(config)]) == 2
+
+
+# a config value and a different flag value for each AugmentParams field
+PARAM_VALUES = {"rms_frame_size": (4096, 1024), "rms_hop": (256, 128),
+                "eq_smooth_window": (51, 31), "epsilon": (1e-6, 1e-7), "output_peak": (0.9, 0.5)}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AugmentParams)])
+def test_build_param_flag_overrides_config(tmp_path, wav_pair, capsys, name):
+    config_value, flag_value = PARAM_VALUES[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"augment_params": {name: config_value}}))
+    pairs = _pairs_file(tmp_path, wav_pair, n=1)
+    out = tmp_path / "out"
+    assert main(["build", str(pairs), "--out-dir", str(out), "--config", str(config),
+                 "--" + name.replace("_", "-"), str(flag_value)]) == 0
+    params = json.loads((out / "manifest.jsonl").read_text())["params"]
+    assert params == {**dataclasses.asdict(AugmentParams()), name: flag_value}
+
+
+def test_build_invalid_param_flag_is_usage_error(tmp_path, wav_pair, capsys):
+    pairs = _pairs_file(tmp_path, wav_pair, n=1)
+    out = tmp_path / "out"
+    assert main(["build", str(pairs), "--out-dir", str(out), "--eq-smooth-window", "4"]) == 2
+    assert "eq_smooth_window" in capsys.readouterr().err
+    assert not (out / "manifest.jsonl").exists()
+
+
+def test_build_unwritable_manifest_is_an_error_line(tmp_path, wav_pair, capsys):
+    pairs = _pairs_file(tmp_path, wav_pair, n=2)
+    out = tmp_path / "out"
+    (out / "manifest.jsonl.tmp").mkdir(parents=True)
+    assert main(["build", str(pairs), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest.jsonl" in err
+    assert not (out / "manifest.jsonl").exists()
+    assert (out / "manifest.jsonl.tmp").is_dir()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -247,6 +286,17 @@ def test_embed_mock_malformed_store_index(tmp_path, wav_pair, capsys, index):
     assert main(["embed-mock", str(audio_dir), "--out-store", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(p.name for p in out.iterdir()) == ["index.json"]
+
+
+def test_embed_mock_unwritable_entry_fails_its_clip(tmp_path, rng, capsys):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    for name in "ab":
+        save_wav(random_wave(rng, 9000), audio_dir / f"{name}.wav", bit_depth=32)
+    (tmp_path / "st" / "a.mxeb").mkdir(parents=True)
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(tmp_path / "st")]) == 1
+    assert "failed a.wav: " in capsys.readouterr().err
+    assert EmbeddingStore(tmp_path / "st").ids() == ["b"]
 
 
 def test_embed_mock_directory_named_wav(tmp_path, rng, capsys):

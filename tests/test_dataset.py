@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from morphmix import dataset, errors
+from morphmix import errors
 from morphmix.audio_io import Waveform, save_wav
 from morphmix.dataset import (
     CAPTION_TEMPLATES,
@@ -26,7 +26,7 @@ from morphmix.dataset import (
 )
 from morphmix.dsp import AugmentParams, AugmentationMode
 
-from conftest import random_wave
+from conftest import HalfWriter, random_wave
 
 THREE_WAY = ModeDistribution(1 / 3, 1 / 3, 1 / 3, 0.0)
 
@@ -131,6 +131,13 @@ def test_manifest_roundtrip(tmp_path):
     entry = _entry()
     d = entry.to_dict()
     assert ManifestEntry.from_dict(json.loads(json.dumps(d))) == entry
+
+
+def test_manifest_from_dict_ignores_unknown_keys_and_defaults_error():
+    d = _entry().to_dict()
+    del d["error"]
+    d["comment"] = "not a field"
+    assert ManifestEntry.from_dict(d) == _entry()
 
 
 # --- build_dataset ---
@@ -270,17 +277,13 @@ def test_build_manifest_failure_keeps_previous_manifest(tmp_path, monkeypatch):
     build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 5, out)
     before = (out / "manifest.jsonl").read_bytes()
 
-    real_dump = json.dump
-    calls = []
+    def open_manifest_half(path, mode):
+        f = open(path, mode)
+        return HalfWriter(f) if path.endswith("manifest.jsonl.tmp") else f
 
-    def dump_then_fail(obj, f, **kwargs):
-        calls.append(obj)
-        if len(calls) == 2:
-            raise OSError("disk full")
-        real_dump(obj, f, **kwargs)
-
-    monkeypatch.setattr(dataset.json, "dump", dump_then_fail)
-    with pytest.raises(OSError):
+    # the fault is injected into the atomic writer, for the manifest only
+    monkeypatch.setattr(errors, "open", open_manifest_half, raising=False)
+    with pytest.raises(errors.IoFailure):
         build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 6, out)
     assert (out / "manifest.jsonl").read_bytes() == before
     monkeypatch.undo()

@@ -344,6 +344,13 @@ def test_mock_latents_too_short(rng):
 
 
 @pytest.mark.parametrize("fn", [mock_embed, mock_latents])
+@pytest.mark.parametrize("framing", [{"hop": 0}, {"frame": 0}])
+def test_mock_rejects_hop_or_frame_below_one(rng, fn, framing):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        fn(random_wave(rng, 9000), **framing)
+
+
+@pytest.mark.parametrize("fn", [mock_embed, mock_latents])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_mock_rejects_non_finite(rng, fn, bad):
     data = random_wave(rng, 8000).data.copy()
