@@ -1,10 +1,12 @@
 """Command-line interface: augment, build, embed-mock, eval.
 
-Exit codes: 0 success, 1 processing failure, 2 usage/validation error.
-Diagnostics go to stderr; machine-readable output to stdout.
+Exit codes: 0 success, 1 processing failure, 2 usage/validation error. Only
+main maps an exception to a code. Diagnostics go to stderr; machine-readable
+output to stdout.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -13,36 +15,51 @@ from pathlib import Path
 from . import dataset, evaluate, metrics, store
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
-from .errors import IoFailure, MorphmixError, TooShort
+from .errors import MorphmixError, TooShort, write_atomic
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-def _err(msg):
-    print(f"error: {msg}", file=sys.stderr)
+
+class UsageError(Exception):
+    """Bad input found before any work: exit code 2, nothing written."""
+
+
+@contextlib.contextmanager
+def _reading_inputs():
+    """Turn any error raised while reading or checking inputs into a UsageError."""
+    try:
+        yield
+    except (MorphmixError, ValueError, OSError, TypeError, KeyError, OverflowError) as e:
+        raise UsageError(str(e)) from e
+
+
+def _require_files(*paths):
+    for path in paths:
+        if not Path(path).exists():
+            raise UsageError(f"file not found: {path}")
 
 
 def _make_dir(path):
-    """Create path and its parents; False, after an error line, if that fails."""
+    """Create path and its parents; UsageError if a file is in the way."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except FileExistsError:
-        _err(f"not a directory: {path}")
-        return False
-    except OSError as e:
-        _err(f"cannot create directory {path}: {e.strerror or e}")
-        return False
-    return True
+        raise UsageError(f"not a directory: {path}") from None
 
 
-def load_config(path=None):
-    """Read the optional config JSON into typed config values."""
+def load_config(args):
+    """The --config JSON object's typed values, each AugmentParams flag given overriding it."""
     raw = {}
-    if path:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-    params = AugmentParams(**raw.get("augment_params", {}))
+    if args.config:
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+    params = dataclasses.replace(AugmentParams(**raw.get("augment_params", {})), **{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(AugmentParams)
+        if getattr(args, f.name) is not None
+    })
     dist = dataset.ModeDistribution(**raw.get("mode_distribution", {}))
     window = dataset.TimestepWindow(**raw.get("timestep_window", {}))
     seed = int(raw.get("seed", 0))
@@ -55,96 +72,51 @@ def _add_param_flags(parser):
         parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
 
-def _params_from_args(args, params):
-    """params with each AugmentParams field given as a flag replaced; validates again."""
-    return dataclasses.replace(params, **{
-        f.name: getattr(args, f.name) for f in dataclasses.fields(params)
-        if getattr(args, f.name) is not None
-    })
-
-
 def cmd_augment(args):
-    for path in (args.primary, args.secondary):
-        if not Path(path).exists():
-            _err(f"input file not found: {path}")
-            return EXIT_USAGE
-    try:
-        params, _, _, _ = load_config(args.config)
-        params = _params_from_args(args, params)
+    with _reading_inputs():
+        _require_files(args.primary, args.secondary)
+        params = load_config(args)[0]
         mode = AugmentationMode(args.mode)
-    except (MorphmixError, ValueError, OSError, TypeError) as e:
-        _err(str(e))
-        return EXIT_USAGE
-    try:
-        primary = load_wav(args.primary)
-        secondary = load_wav(args.secondary)
-        if not args.per_channel:
-            primary = to_mono(primary)
-            secondary = to_mono(secondary)
-        out = augment_pair(primary, secondary, mode, params)
-        save_wav(out, args.out, bit_depth=args.bit_depth)
-    except MorphmixError as e:
-        _err(str(e))
-        return EXIT_FAILURE
-    x, y = args.primary_label, args.secondary_label
-    print(dataset.caption_for(mode, x, y))
+        caption = dataset.caption_for(mode, args.primary_label, args.secondary_label)
+    primary, secondary = load_wav(args.primary), load_wav(args.secondary)
+    if not args.per_channel:
+        primary, secondary = to_mono(primary), to_mono(secondary)
+    save_wav(augment_pair(primary, secondary, mode, params), args.out, bit_depth=args.bit_depth)
+    print(caption)
     return EXIT_OK
 
 
 def cmd_build(args):
-    if not Path(args.pairs).exists():
-        _err(f"pairs file not found: {args.pairs}")
-        return EXIT_USAGE
-    if args.jobs < 1:
-        _err(f"--jobs must be >= 1, got {args.jobs}")
-        return EXIT_USAGE
-    try:
-        params, dist, window, seed = load_config(args.config)
-        params = _params_from_args(args, params)
-        if args.seed is not None:
-            seed = args.seed
+    with _reading_inputs():
+        _require_files(args.pairs)
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        params, dist, window, seed = load_config(args)
+        seed = seed if args.seed is None else args.seed
         pairs = dataset.load_pairs(args.pairs)
         dataset.check_pair_ids(pairs)
-    except (MorphmixError, ValueError, OSError, TypeError) as e:
-        _err(str(e))
-        return EXIT_USAGE
-    if not _make_dir(Path(args.out_dir) / "audio"):
-        return EXIT_USAGE
-    try:
-        entries = dataset.build_dataset(
-            pairs, dist, window, params, seed, args.out_dir, jobs=args.jobs
-        )
-    except IoFailure as e:  # the manifest write
-        _err(str(e))
-        return EXIT_FAILURE
-    failed = sum(1 for e in entries if e.failed)
-    print(f"{len(entries) - failed} built, {failed} failed")
-    for entry in entries:
-        if entry.failed:
-            print(f"failed {entry.id}: {entry.error}", file=sys.stderr)
+        _make_dir(Path(args.out_dir) / "audio")
+    entries = dataset.build_dataset(pairs, dist, window, params, seed, args.out_dir, jobs=args.jobs)
+    failed = [e for e in entries if e.failed]
+    print(f"{len(entries) - len(failed)} built, {len(failed)} failed")
+    for entry in failed:
+        print(f"failed {entry.id}: {entry.error}", file=sys.stderr)
     return EXIT_FAILURE if failed else EXIT_OK
 
 
 def cmd_embed_mock(args):
     audio_dir = Path(args.audio_dir)
-    if not audio_dir.is_dir():
-        _err(f"not a directory: {args.audio_dir}")
-        return EXIT_USAGE
-    for flag, value in (("--dim", args.dim), ("--latent-dim", args.latent_dim)):
-        if value < 1:
-            _err(f"{flag} must be >= 1, got {value}")
-            return EXIT_USAGE
-    if not _make_dir(Path(args.out_store)):
-        return EXIT_USAGE
-    try:
+    with _reading_inputs():
+        if not audio_dir.is_dir():
+            raise UsageError(f"not a directory: {args.audio_dir}")
+        for flag, value in (("--dim", args.dim), ("--latent-dim", args.latent_dim)):
+            if value < 1:
+                raise UsageError(f"{flag} must be >= 1, got {value}")
+        _make_dir(Path(args.out_store))
         out = store.EmbeddingStore(args.out_store)
-    except (MorphmixError, OSError) as e:
-        _err(str(e))
-        return EXIT_USAGE
     failures = 0
     with out.batch():
         for wav_path in sorted(audio_dir.glob("*.wav")):
-            clip_id = wav_path.stem
             try:
                 w = load_wav(wav_path)
                 lat = short = None
@@ -154,9 +126,9 @@ def cmd_embed_mock(args):
                     except TooShort as e:
                         short = e  # the embedding is still stored
                 emb = metrics.mock_embed(w, dim=args.dim, latents=lat)
-                out.put(clip_id, emb.values[None, :])
+                out.put(wav_path.stem, emb.values[None, :])
                 if lat is not None:
-                    out.put(f"{clip_id}.latents", lat.data)
+                    out.put(f"{wav_path.stem}.latents", lat.data)
                 if short is not None:
                     raise short
             except MorphmixError as e:
@@ -167,33 +139,19 @@ def cmd_embed_mock(args):
 
 
 def cmd_eval(args):
-    for path in (args.clips, args.reference):
-        if not Path(path).exists():
-            _err(f"file not found: {path}")
-            return EXIT_USAGE
-    try:
+    with _reading_inputs():
+        _require_files(args.clips, args.reference)
         clips = evaluate.load_eval_clips(args.clips)
         emb_store = store.EmbeddingStore(args.store)
         reference = store.read_gaussian_stats(args.reference)
         params = metrics.DirectionalityParams(temperature=args.temperature)
-    except (MorphmixError, ValueError, OSError, KeyError, TypeError) as e:
-        _err(str(e))
-        return EXIT_USAGE
-    try:
-        row = evaluate.evaluate_corpus(
-            clips, emb_store, reference, params, model_name=args.model_name,
-            on_error=lambda cid, e: print(f"excluded {cid}: {e}", file=sys.stderr),
-        )
-    except MorphmixError as e:
-        _err(str(e))
-        return EXIT_FAILURE
+    row = evaluate.evaluate_corpus(
+        clips, emb_store, reference, params, model_name=args.model_name,
+        on_error=lambda cid, e: print(f"excluded {cid}: {e}", file=sys.stderr),
+    )
     report = evaluate.render_report([row], fmt=args.format)
     if args.out:
-        try:
-            Path(args.out).write_text(report, encoding="utf-8")
-        except OSError as e:
-            _err(f"cannot write report: {e}")
-            return EXIT_FAILURE
+        write_atomic(args.out, report.encode("utf-8"))
     else:
         sys.stdout.write(report)
     return EXIT_OK
@@ -254,7 +212,14 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MorphmixError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ import numpy as np
 
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
-from .errors import BadId, EmptyLabel, InvalidDistribution, MorphmixError, check_id, write_atomic
+from .errors import (BadId, EmptyLabel, InvalidDistribution, MorphmixError, check_fields,
+                     check_id, write_atomic)
 
 MODE_ORDER = (
     AugmentationMode.RMS_ONLY,
@@ -53,6 +54,7 @@ class ModeDistribution:
     none: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         probs = self.as_tuple()
         if any(p < 0 for p in probs):
             raise InvalidDistribution(f"negative probability in {probs}")
@@ -145,12 +147,17 @@ def read_jsonl(path):
 
 
 def load_pairs(path):
-    """Read a JSON-lines file of PairSpec objects."""
-    return [PairSpec(**d) for d in read_jsonl(path)]
+    """Read a JSON-lines file of PairSpec objects; TypeError for an audio path not a string."""
+    pairs = [PairSpec(**d) for d in read_jsonl(path)]
+    for pair in pairs:
+        if not (isinstance(pair.primary_path, str) and isinstance(pair.secondary_path, str)):
+            raise TypeError(f"pair {pair.id!r}: audio paths must be strings")
+    return pairs
 
 
 def check_pair_ids(pairs):
-    """Raise BadId for a pair id that is not one path component, or that repeats.
+    """Raise BadId for a pair id that is not one path component or that repeats, and
+    EmptyLabel for a label that is not a non-empty string.
 
     Each id names audio/<id>.wav, so a repeated id would overwrite an
     earlier pair's WAV and a path id would write outside audio/.
@@ -158,9 +165,12 @@ def check_pair_ids(pairs):
     seen = set()
     for pair in pairs:
         check_id(pair.id)
-        if pair.id in seen:
+        for label in (pair.primary_label, pair.secondary_label):
+            if not (isinstance(label, str) and label):
+                raise EmptyLabel(f"pair {pair.id!r}: label {label!r} is not a non-empty string")
+        if str(pair.id) in seen:  # ids 5 and "5" both name audio/5.wav
             raise BadId(f"pair id {pair.id!r} appears more than once")
-        seen.add(pair.id)
+        seen.add(str(pair.id))
 
 
 def _build_one(pair, dist, window, params, seed, audio_dir):
@@ -199,8 +209,8 @@ def build_dataset(pairs, dist, window, params, seed, out_dir, jobs=1):
 
     Failed pairs become manifest entries with an error field; the build
     continues. Manifest order always matches input order. jobs (>= 1) is
-    the number of worker threads. Bad pair ids raise BadId before anything
-    is written; a manifest that cannot be written raises IoFailure and
+    the number of worker threads. Bad pair ids and labels raise before
+    anything is written; a manifest that cannot be written raises IoFailure and
     leaves the previous one in place.
     """
     check_pair_ids(pairs)

@@ -21,6 +21,7 @@ from .errors import (
     SilentPrimary,
     SilentSecondary,
     SizeMismatch,
+    check_fields,
 )
 
 
@@ -42,6 +43,7 @@ class AugmentParams:
     output_peak: float = 0.95
 
     def __post_init__(self):
+        check_fields(self)
         if not (1 <= self.rms_hop <= self.rms_frame_size):
             raise ValueError("need rms_frame_size >= rms_hop >= 1")
         if self.eq_smooth_window < 1 or self.eq_smooth_window % 2 == 0:

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package, the id check behind BadId,
+"""Exception hierarchy shared across the package, the id and record field checks,
 and the atomic file write behind IoFailure."""
 
 import contextlib
+import dataclasses
+import math
 import os
 
 
@@ -139,6 +141,16 @@ def check_id(entry_id):
     name = str(entry_id)
     if name in ("", ".", "..") or "/" in name or "\\" in name or "\0" in name:
         raise BadId(f"id {entry_id!r} is not a single path component")
+
+
+def check_fields(record):
+    """TypeError for an int or str field of another type, ValueError for a non-finite float."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if f.type in (int, str) and not isinstance(value, f.type):
+            raise TypeError(f"{f.name} must be {f.type.__name__}, got {value!r}")
+        if f.type is float and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def write_atomic(path, data):

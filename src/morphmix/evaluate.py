@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 
 from .dataset import read_jsonl
-from .errors import BadTemplate, EmptyInput, MissingEmbedding, MorphmixError
+from .errors import BadTemplate, EmptyInput, MissingEmbedding, MorphmixError, check_fields
 from .metrics import (
     DirectionalityParams,
     GaussianStats,
@@ -59,6 +59,9 @@ class EvalClip:
     text_y_id: str
     prompt_intended_id: str
     prompt_reversed_id: str
+
+    def __post_init__(self):
+        check_fields(self)
 
     @classmethod
     def from_dict(cls, d):

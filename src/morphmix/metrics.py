@@ -26,6 +26,7 @@ from .errors import (
     TooFewSamples,
     TooShort,
     ZeroVector,
+    check_fields,
 )
 
 SIM_FLOOR = 1e-6  # clamp floor applied to similarities before ratio formulas
@@ -87,6 +88,7 @@ class DirectionalityParams:
     temperature: float = 0.05
 
     def __post_init__(self):
+        check_fields(self)
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
 

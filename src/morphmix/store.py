@@ -121,9 +121,13 @@ class EmbeddingStore:
                     index = json.load(f)
                 except ValueError as e:  # not JSON, or not UTF-8
                     raise BadFormat(f"{index_path}: not a JSON index: {e}") from e
-            if not isinstance(index, dict) or not isinstance(index.get("entries"), dict):
-                raise BadFormat(f"{index_path}: no \"entries\" object")
-            self._index = index["entries"]
+            entries = index.get("entries") if isinstance(index, dict) else None
+            if not (isinstance(entries, dict)
+                    and all(isinstance(name, str) for name in entries.values())):
+                raise BadFormat(f"{index_path}: no \"entries\" object of file names")
+            for name in entries.values():
+                check_id(name)  # BadId unless it names a file in root
+            self._index = entries
 
     def ids(self):
         return sorted(self._index)

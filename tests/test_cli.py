@@ -1,11 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import struct
+import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphmix import metrics
 from morphmix.audio_io import Waveform, load_wav, save_wav
@@ -439,6 +446,7 @@ def _pairs_with_ids(tmp_path, wav_pair, ids):
     ([""], ""),
     (["."], "."),
     ([".."], ".."),
+    ([5, "5"], "5"),
 ])
 def test_build_rejects_bad_pair_ids_before_any_work(tmp_path, wav_pair, capsys, ids, bad):
     pairs = _pairs_with_ids(tmp_path, wav_pair, ids)
@@ -526,3 +534,158 @@ def test_eval_huge_entry_header_excludes_clip(tmp_path, rng, capsys, rows_cols):
     cap = capsys.readouterr()
     assert cap.err.startswith("excluded c1: ") and "payload bytes" in cap.err
     assert len(cap.out.splitlines()) == 2
+
+
+# each mutated input and the commands that read it
+READERS = {
+    "pairs.jsonl": ("build",), "config.json": ("build", "augment"),
+    "clips.jsonl": ("eval",), "store/index.json": ("eval", "embed-mock"),
+    "store/c0.audio.mxeb": ("eval",), "store/c1.lat.mxeb": ("eval",),
+    "store/c2.pr.mxeb": ("eval",), "ref.mxeb": ("eval",),
+    "in/p.wav": ("build", "augment", "embed-mock"), "in/s.wav": ("build", "augment"),
+}
+
+
+def _write_inputs(root):
+    """Valid inputs for every command under root."""
+    rng = np.random.default_rng(0)
+    (root / "in").mkdir()
+    save_wav(random_wave(rng, 4000), root / "in" / "p.wav", bit_depth=16)
+    save_wav(random_wave(rng, 3500, channels=2), root / "in" / "s.wav", bit_depth=24)
+    (root / "pairs.jsonl").write_text(json.dumps({
+        "id": "p0", "primary_path": str(root / "in" / "p.wav"), "primary_label": "a dog",
+        "secondary_path": str(root / "in" / "s.wav"), "secondary_label": "a horn"}) + "\n")
+    (root / "config.json").write_text(json.dumps({
+        "seed": 7, "augment_params": {"rms_frame_size": 1024, "rms_hop": 256},
+        "mode_distribution": {"rms": 0.25, "spectral": 0.25, "both": 0.5},
+        "timestep_window": {"t_start": 0.5, "t_end": 1.0}}))
+    _eval_setup(root, rng)
+
+
+def _argv(command, root):
+    return {
+        "build": ["build", root / "pairs.jsonl", "--out-dir", root / "out",
+                  "--config", root / "config.json", "--jobs", "2"],
+        "augment": ["augment", root / "in" / "p.wav", root / "in" / "s.wav", "--mode", "both",
+                    "--out", root / "o.wav", "--config", root / "config.json"],
+        "eval": ["eval", root / "clips.jsonl", "--store", root / "store",
+                 "--reference", root / "ref.mxeb"],
+        "embed-mock": ["embed-mock", root / "in", "--out-store", root / "store", "--latents"],
+    }[command]
+
+
+def _tree(root):
+    """Every path under root, with its bytes if it is a file."""
+    return {f.relative_to(root): f.is_file() and f.read_bytes() for f in root.rglob("*")}
+
+
+def _edit(path, change):
+    """Replace a file's text (str), update its first JSON object (dict), or make it a directory."""
+    if change is None:
+        path.mkdir()
+    elif isinstance(change, str):
+        path.write_text(change)
+    else:
+        first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([json.dumps({**json.loads(first), **change}) + "\n", *rest]))
+
+
+# name: (command, input file, its change, extra flags, exit code, text of the error line)
+EXIT_CASES = {
+    "config not an object": ("build", "config.json", "[1]", [], 2, "must be a JSON object"),
+    "augment config not an object": ("augment", "config.json", "[1]", [], 2,
+                                     "must be a JSON object"),
+    "seed overflows": ("build", "config.json", '{"seed": 1e400}', [], 2, "infinity"),
+    "null audio path": ("build", "pairs.jsonl", {"primary_path": None}, [], 2,
+                        "audio paths must be strings"),
+    "numeric audio path": ("build", "pairs.jsonl", {"secondary_path": 0}, [], 2,
+                           "audio paths must be strings"),
+    "empty pair label": ("build", "pairs.jsonl", {"primary_label": ""}, [], 2, "label ''"),
+    "numeric pair label": ("build", "pairs.jsonl", {"secondary_label": 5}, [], 2, "label 5"),
+    "fractional frame size": ("build", "config.json",
+                              '{"augment_params": {"rms_frame_size": 2048.5}}', [], 2,
+                              "rms_frame_size must be int"),
+    "nan epsilon": ("build", None, None, ["--epsilon", "nan"], 2, "epsilon must be finite"),
+    "inf epsilon": ("build", None, None, ["--epsilon", "inf"], 2, "epsilon must be finite"),
+    "augment nan epsilon": ("augment", None, None, ["--epsilon", "nan"], 2,
+                            "epsilon must be finite"),
+    "augment inf epsilon": ("augment", None, None, ["--epsilon", "inf"], 2,
+                            "epsilon must be finite"),
+    "nan mode probability": ("build", "config.json", '{"mode_distribution": {"rms": NaN}}', [],
+                             2, "rms must be finite"),
+    "nan temperature": ("eval", None, None, ["--temperature", "nan"], 2,
+                        "temperature must be finite"),
+    "empty augment label": ("augment", None, None, ["--primary-label", ""], 2, "non-empty"),
+    "list clip id": ("eval", "clips.jsonl", {"audio_id": ["c0.audio"]}, [], 2,
+                     "audio_id must be str"),
+    "null index file name": ("eval", "store/index.json", '{"entries": {"c0.audio": null}}', [],
+                             2, "file names"),
+    "index file name outside the store": ("eval", "store/index.json",
+                                          '{"entries": {"c0.audio": "../ref.mxeb"}}', [], 2,
+                                          "'../ref.mxeb'"),
+    "unwritable store index": ("embed-mock", "store/index.json.tmp", None, [], 1,
+                               "index.json"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_bad_input_exit_code(tmp_path, capsys, case):
+    command, name, change, flags, code, text = EXIT_CASES[case]
+    _write_inputs(tmp_path)
+    if name is not None:
+        _edit(tmp_path / name, change)
+    before = _tree(tmp_path)
+    assert main([str(a) for a in _argv(command, tmp_path)] + flags) == code
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error: ") and len(cap.err.splitlines()) == 1
+    assert text in cap.err
+    assert cap.out == ""
+    assert _tree(tmp_path) == before
+
+
+JSON_TOKENS = [b"null", b"0", b"-1", b"1e400", b"NaN", b"-Infinity", b"[]", b"{}", b'""',
+               b"true", b"2048.5", b'"x"', b"[1]"]
+# a JSON string or number, for the "token" edit
+TOKEN = re.compile(rb'"[^"\\]*"|-?[0-9][0-9.eE+-]*')
+EDITS = st.lists(st.tuples(
+    st.sampled_from(("replace", "insert", "delete", "truncate", "token")),
+    st.one_of(st.integers(0, 48), st.integers(0, 1 << 16)),
+    st.one_of(st.binary(min_size=1, max_size=6), st.sampled_from(JSON_TOKENS)),
+), min_size=1, max_size=3)
+
+
+def _mutate(data, edits):
+    data = bytearray(data)
+    for kind, pos, chunk in edits:
+        pos %= len(data) + 1
+        tokens = list(TOKEN.finditer(data)) if kind == "token" else None
+        if tokens:
+            token = tokens[pos % len(tokens)]
+            data[token.start():token.end()] = chunk
+        elif kind == "replace":
+            data[pos:pos + len(chunk)] = chunk
+        elif kind == "insert":
+            data[pos:pos] = chunk
+        elif kind == "delete":
+            del data[pos:pos + len(chunk)]
+        elif kind == "truncate":
+            del data[pos:]
+    return bytes(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(target=st.sampled_from(sorted(READERS)), edits=EDITS)
+def test_mutated_input_ends_in_an_exit_code(target, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _write_inputs(root)
+        path = root / target
+        path.write_bytes(_mutate(path.read_bytes(), edits))
+        closed = io.StringIO()
+        closed.close()
+        sink = io.StringIO()
+        with mock.patch.object(sys, "stdin", closed), contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            for command in READERS[target]:
+                code = main([str(a) for a in _argv(command, root)])
+                assert code in (0, 1, 2), (command, sink.getvalue())

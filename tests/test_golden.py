@@ -1,0 +1,111 @@
+"""Golden digests of the three pipelines' outputs on a small seeded corpus.
+
+The inputs come from perfbench/corpus.py, loaded by path, plus one item per
+command that fails on its own: a silent pair, a clip too short for latents
+and a truncated store entry. Each command runs through cli.main, and the
+test compares the SHA-256 of every file it writes, of its stdout and of its
+stderr (with the temporary directory's path replaced), and its exit code,
+with the digests in tests/golden_digests.json. Float results can move by an ulp between numpy
+versions, so a mismatch names the numpy version the digests were recorded
+with.
+
+After a deliberate change to the outputs, record new digests with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from morphmix import cli
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE.parent / "perfbench" / "corpus.py"
+DIGESTS = HERE / "golden_digests.json"
+SEED = 5
+
+
+def _load_corpus():
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(root, argv, out_dir=None):
+    """Exit code, stdout and stderr digests, and the digest of each file under out_dir."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([str(a) for a in argv])
+    run = {"code": code}
+    for name, text in (("stdout", stdout), ("stderr", stderr)):
+        run[name] = _sha(text.getvalue().replace(str(root), "<root>").encode())
+    if out_dir is not None:
+        run["files"] = {f.relative_to(out_dir).as_posix(): _sha(f.read_bytes())
+                        for f in sorted(Path(out_dir).rglob("*")) if f.is_file()}
+    return run
+
+
+def golden_runs(root):
+    """Build the corpus under root and run build, embed-mock and eval over it."""
+    corpus = _load_corpus()
+    root = Path(root)
+    built = corpus.build_corpus(SEED, root / "build", pairs_per_mode=2)
+    silent = root / "build" / "in" / "silent.wav"
+    silent.write_bytes(corpus.encode_wav(np.zeros((1, 4800)), "pcm16"))
+    with open(built["pairs"], "a", encoding="utf-8") as f:
+        f.write(json.dumps({"id": "silent", "primary_path": str(silent), "primary_label": "hush",
+                            "secondary_path": str(silent), "secondary_label": "still"}) + "\n")
+    clips = corpus.embed_corpus(SEED, root / "embed", n_clips=8)
+    (clips["audio_dir"] / "short.wav").write_bytes(
+        corpus.encode_wav(np.full((1, 2000), 0.25), "float32"))
+    scored = corpus.eval_corpus(SEED, root / "eval", n_clips=20)
+    entry = scored["store"] / "clip00003.latents.mxeb"
+    entry.write_bytes(entry.read_bytes()[:-4])
+    eval_args = ["eval", scored["clips"], "--store", scored["store"],
+                 "--reference", scored["reference"], "--model-name", "golden"]
+    return {
+        "build": _run(root, ["build", built["pairs"], "--out-dir", root / "built",
+                             "--jobs", "2", "--seed", "3"], root / "built"),
+        "embed-mock": _run(root, ["embed-mock", clips["audio_dir"], "--out-store",
+                                  root / "store", "--latents"], root / "store"),
+        "eval csv": _run(root, eval_args + ["--format", "csv"]),
+        "eval markdown": _run(root, eval_args + ["--format", "markdown",
+                                                 "--out", root / "report" / "r.md"],
+                              root / "report"),
+    }
+
+
+def _record():
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "report").mkdir()
+        runs = golden_runs(tmp)
+    DIGESTS.write_text(json.dumps({"numpy": np.__version__, "seed": SEED, "runs": runs},
+                                  indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    (tmp_path / "report").mkdir()
+    runs = golden_runs(tmp_path)
+    for name, expect in golden["runs"].items():
+        assert runs[name] == expect, (
+            f"{name}: outputs differ from the digests recorded with numpy "
+            f"{golden['numpy']} (this is numpy {np.__version__})")
+    assert sorted(runs) == sorted(golden["runs"])
+
+
+if __name__ == "__main__":
+    sys.exit(_record())
