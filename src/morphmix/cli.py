@@ -112,11 +112,17 @@ def cmd_embed_mock(args):
         for flag, value in (("--dim", args.dim), ("--latent-dim", args.latent_dim)):
             if value < 1:
                 raise UsageError(f"{flag} must be >= 1, got {value}")
+        wav_paths = sorted(audio_dir.glob("*.wav"))
+        stems = {p.stem for p in wav_paths} if args.latents else set()
+        for p in wav_paths:
+            if f"{p.stem}.latents" in stems:  # its latents would overwrite that clip's entry
+                raise UsageError(f"{p.name} and {p.stem}.latents.wav both name "
+                                 f"store entry {p.stem}.latents")
         _make_dir(Path(args.out_store))
         out = store.EmbeddingStore(args.out_store)
     failures = 0
     with out.batch():
-        for wav_path in sorted(audio_dir.glob("*.wav")):
+        for wav_path in wav_paths:
             try:
                 w = load_wav(wav_path)
                 lat = short = None

@@ -122,7 +122,7 @@ def _match_power(primary, secondary, epsilon):
     return secondary.data.astype(np.float64) * (rp / rs)
 
 
-def rms_envelope(w, frame_size=2048, hop=512):
+def rms_envelope(w, frame_size, hop):
     """Framed RMS of a waveform; windows past the end are zero-padded."""
     if w.n_samples < 1:
         raise EmptyInput("cannot measure the envelope of an empty waveform")
@@ -162,11 +162,11 @@ def spectral_target(mag1, mag2):
     return 0.5 * mag1 + 0.5 * mag2
 
 
-def eq_curve(target_mag, source_mag, smooth_window=101, epsilon=1e-8, fft_size=None):
+def eq_curve(target_mag, source_mag, smooth_window=101, epsilon=1e-8, *, fft_size):
     """Per-bin gain target/(source+epsilon), smoothed by a centered moving average.
 
-    fft_size defaults to the even transform length 2*(n_bins-1); pass it
-    explicitly for odd-length signals.
+    fft_size is the length of the signal the curve filters: an odd length
+    has the same number of bins as the even length below it.
     """
     target_mag = np.asarray(target_mag, dtype=np.float64)
     source_mag = np.asarray(source_mag, dtype=np.float64)
@@ -176,8 +176,6 @@ def eq_curve(target_mag, source_mag, smooth_window=101, epsilon=1e-8, fft_size=N
         raise ValueError("smooth_window must be odd and >= 1")
     raw = target_mag / (source_mag + epsilon)
     smoothed = kernels.moving_average(raw, smooth_window)
-    if fft_size is None:
-        fft_size = 2 * (len(target_mag) - 1)
     return EqCurve(smoothed, fft_size=fft_size)
 
 
@@ -185,17 +183,12 @@ def apply_eq(w, curve):
     """Filter by multiplying each FFT bin's magnitude by its gain, phase untouched."""
     if curve.fft_size != w.n_samples:
         raise SizeMismatch(f"curve fft_size {curve.fft_size} != signal length {w.n_samples}")
-    return Waveform(_filter(_spectrum(w), curve), w.sample_rate)
+    spec = _spectrum(w) * curve.gains
+    return Waveform(np.fft.irfft(spec, n=curve.fft_size, axis=1).astype(np.float32), w.sample_rate)
 
 
 def _spectrum(w):
     return np.fft.rfft(w.data.astype(np.float64), axis=1)
-
-
-def _filter(spec, curve):
-    """Float32 samples of spec scaled bin by bin by the curve; scales spec in place."""
-    spec *= curve.gains
-    return np.fft.irfft(spec, n=curve.fft_size, axis=1).astype(np.float32)
 
 
 def spectral_interpolate(w1, w2, params=AugmentParams()):

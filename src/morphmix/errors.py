@@ -121,10 +121,6 @@ class BadFormat(MorphmixError):
     """MXEB file malformed."""
 
 
-class BadTemplate(MorphmixError):
-    """Prompt template missing a required slot."""
-
-
 class MissingEmbedding(MorphmixError):
     """Embedding store has no entry for a requested id."""
 

@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 
 from .dataset import read_jsonl
-from .errors import BadTemplate, EmptyInput, MissingEmbedding, MorphmixError, check_fields
+from .errors import EmptyInput, MissingEmbedding, MorphmixError, check_fields
 from .metrics import (
     DirectionalityParams,
     GaussianStats,
@@ -80,15 +80,13 @@ class EvalRow:
     excluded: int = 0
 
 
-def expand_prompts(pairs, template=DEFAULT_PROMPT_TEMPLATE):
+def expand_prompts(pairs):
     """Expand concept pairs into directional prompts, forward then reverse per pair."""
-    if "{X}" not in template or "{Y}" not in template:
-        raise BadTemplate(f"template must contain {{X}} and {{Y}} slots: {template!r}")
     prompts = []
     for pair in pairs:
         for x, y, direction in ((pair.x_label, pair.y_label, "forward"),
                                 (pair.y_label, pair.x_label, "reverse")):
-            text = template.replace("{X}", x).replace("{Y}", y)
+            text = DEFAULT_PROMPT_TEMPLATE.replace("{X}", x).replace("{Y}", y)
             prompts.append(InfusionPrompt(x, y, text, direction))
     return prompts
 

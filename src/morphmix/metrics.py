@@ -35,7 +35,6 @@ SIM_FLOOR = 1e-6  # clamp floor applied to similarities before ratio formulas
 @dataclass(frozen=True)
 class Embedding:
     values: np.ndarray
-    clip_id: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64).ravel()
@@ -53,7 +52,6 @@ class LatentMatrix:
     """T frames by D latent dimensions."""
 
     data: np.ndarray
-    clip_id: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.data, dtype=np.float64)
@@ -133,13 +131,8 @@ def directionality(s_int, s_rev, params=DirectionalityParams()):
     return float(math.tanh((s_int - s_rev) / (2.0 * params.temperature)))
 
 
-def lcs(latents, standardize=False):
-    """Latent compressibility: variance fraction of the first two PCs.
-
-    With standardize=True each dimension is scaled to unit variance before
-    the eigendecomposition (correlation- instead of covariance-based PCA);
-    the default centers only.
-    """
+def lcs(latents):
+    """Latent compressibility: variance fraction of the first two PCs."""
     m = latents.data
     t, d = m.shape
     if t < 3:
@@ -147,9 +140,6 @@ def lcs(latents, standardize=False):
     if d < 3:
         raise TooFewFrames(f"need at least 3 latent dimensions, got {d}")
     centered = m - m.mean(axis=0)
-    if standardize:
-        std = centered.std(axis=0, ddof=1)
-        centered = centered / np.where(std > 0, std, 1.0)
     cov = centered.T @ centered / (t - 1)
     eig = np.linalg.eigvalsh(cov)
     total = float(eig.sum())
@@ -291,6 +281,7 @@ def _hann(frame):
 
 
 _LOG_FLOOR = 1e-10
+_FRAME, _HOP = 2048, 512  # STFT frame and hop of the mock embedder, in samples
 # Frames per rfft call. A block keeps each intermediate near 128 KB at frame
 # 2048; whole-clip batches made the multiply and abs about 3x slower per element.
 _STFT_BLOCK = 8
@@ -316,25 +307,19 @@ def _logmel_frames(w, n_bands, frame, hop):
     return np.log(out + _LOG_FLOOR)
 
 
-def _check_framing(frame, hop):
-    if frame < 1 or hop < 1:
-        raise ValueError(f"frame and hop must be >= 1, got frame={frame}, hop={hop}")
-
-
-def mock_embed(w, dim=64, frame=2048, hop=512, latents=None):
+def mock_embed(w, dim=64, latents=None):
     """Deterministic embedding from log-mel band statistics.
 
     Not a perceptual model; a reproducible stand-in for neural encoders so
     the metric pipeline can run end to end without external weights.
-    latents=mock_latents(w) (same frame and hop) lends its frames in place of
-    an STFT when they are the ones this call takes; the result is the same.
+    latents=mock_latents(w) lends its frames in place of an STFT when they
+    are the ones this call takes; the result is the same.
     """
-    _check_framing(frame, hop)
     if w.n_samples < 1:
         raise EmptyInput("cannot embed an empty waveform")
     require_finite(w)
-    frame = min(frame, max(w.n_samples, 16))
-    hop = min(hop, frame)
+    frame = min(_FRAME, max(w.n_samples, 16))
+    hop = min(_HOP, frame)
     n_bands = max(dim // 2, 4)
     n_frames = (w.n_samples - frame) // hop + 1
     if latents is not None and latents.data.shape == (n_frames, n_bands):
@@ -353,18 +338,17 @@ def mock_embed(w, dim=64, frame=2048, hop=512, latents=None):
     else:
         feats = np.full_like(feats, 1.0 / math.sqrt(len(feats)))
     reps = math.ceil(dim / len(feats))
-    return Embedding(np.tile(feats, reps)[:dim], clip_id=getattr(w, "clip_id", ""))
+    return Embedding(np.tile(feats, reps)[:dim])
 
 
-def mock_latents(w, dim=32, frame=2048, hop=512):
+def mock_latents(w, dim=32):
     """Deterministic per-frame log-mel latent matrix (stand-in for codec latents)."""
-    _check_framing(frame, hop)
     require_finite(w)
-    if w.n_samples < frame + 2 * hop:
+    if w.n_samples < _FRAME + 2 * _HOP:
         raise TooShort(
-            f"need at least {frame + 2 * hop} samples for 3 frames, got {w.n_samples}"
+            f"need at least {_FRAME + 2 * _HOP} samples for 3 frames, got {w.n_samples}"
         )
-    frames = _logmel_frames(w, dim, frame, hop)
+    frames = _logmel_frames(w, dim, _FRAME, _HOP)
     if frames.shape[0] < 3:
         raise TooShort(f"only {frames.shape[0]} frames available, need 3")
     return LatentMatrix(frames)

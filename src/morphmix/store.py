@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadFormat, IoFailure, MissingEmbedding, check_id, write_atomic
+from .errors import BadFormat, BadId, IoFailure, MissingEmbedding, check_id, write_atomic
 from .metrics import Embedding, GaussianStats, LatentMatrix
 
 MAGIC = b"MXEB"
@@ -66,20 +66,20 @@ def write_embedding(path, emb):
     write_mxeb(path, emb.values[np.newaxis, :])
 
 
-def read_embedding(path, clip_id=""):
+def read_embedding(path):
     m = read_mxeb(path)
     if m.shape[0] != 1:
         raise BadFormat(f"{path}: expected a single row for an embedding, got {m.shape[0]}")
     try:
-        return Embedding(m[0], clip_id=clip_id)
+        return Embedding(m[0])
     except ValueError as e:  # no columns, or a NaN or infinite value
         raise BadFormat(f"{path}: {e}") from e
 
 
-def read_latents(path, clip_id=""):
+def read_latents(path):
     m = read_mxeb(path)
     try:
-        return LatentMatrix(m, clip_id=clip_id)
+        return LatentMatrix(m)
     except ValueError as e:  # a NaN or infinite value
         raise BadFormat(f"{path}: {e}") from e
 
@@ -98,8 +98,8 @@ def read_gaussian_stats(path):
     """
     m = read_mxeb(path)
     t, d = m.shape
-    if t != d + 1:
-        raise BadFormat(f"{path}: stats need D+1 rows for D columns, got {t}x{d}")
+    if d < 1 or t != d + 1:
+        raise BadFormat(f"{path}: stats need D+1 rows for D >= 1 columns, got {t}x{d}")
     if not np.all(np.isfinite(m)):
         raise BadFormat(f"{path}: stats hold a NaN or infinite value")
     return GaussianStats(m[0], 0.5 * (m[1:] + m[1:].T), count=2)
@@ -132,26 +132,26 @@ class EmbeddingStore:
     def ids(self):
         return sorted(self._index)
 
-    def __contains__(self, entry_id):
-        return entry_id in self._index
-
     def _path(self, entry_id):
         if entry_id not in self._index:
             raise MissingEmbedding(f"no store entry for id {entry_id!r}")
         return self.root / self._index[entry_id]
 
     def embedding(self, entry_id):
-        return read_embedding(self._path(entry_id), clip_id=entry_id)
+        return read_embedding(self._path(entry_id))
 
     def latents(self, entry_id):
-        return read_latents(self._path(entry_id), clip_id=entry_id)
+        return read_latents(self._path(entry_id))
 
     def put(self, entry_id, matrix):
         """Write an entry and update the on-disk index (at the end of a batch() block).
 
-        entry_id names the file <entry_id>.mxeb, so it must be one path
-        component; anything else raises BadId before a byte is written.
+        entry_id names the file <entry_id>.mxeb, so it must be a str of one
+        path component, the form the index takes back from disk; anything
+        else raises BadId before a byte is written.
         """
+        if not isinstance(entry_id, str):
+            raise BadId(f"store id must be a string, got {entry_id!r}")
         check_id(entry_id)
         self.root.mkdir(parents=True, exist_ok=True)
         filename = f"{entry_id}.mxeb"

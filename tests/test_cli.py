@@ -271,6 +271,26 @@ def test_embed_mock_short_clip_stores_its_embedding_only(tmp_path, rng, capsys):
     assert np.array_equal(EmbeddingStore(out).embedding("short").values, expect.astype("f4"))
 
 
+@pytest.mark.parametrize("latents", [True, False])
+def test_embed_mock_stem_beside_its_latents_stem(tmp_path, rng, capsys, latents):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    for stem in ("a", "a.latents"):
+        save_wav(random_wave(rng, 9000), audio_dir / f"{stem}.wav", bit_depth=32)
+    out = tmp_path / "st"
+    code = main(["embed-mock", str(audio_dir), "--out-store", str(out)]
+                + (["--latents"] if latents else []))
+    if latents:  # clip a's latents would overwrite clip a.latents's embedding
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a.wav and a.latents.wav both name store entry a.latents\n")
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert EmbeddingStore(out).ids() == ["a", "a.latents"]
+        assert EmbeddingStore(out).embedding("a.latents").dim == 64
+
+
 def test_embed_mock_latents_frames_each_clip_once(tmp_path, rng, logmel_calls):
     audio_dir = tmp_path / "clips"
     audio_dir.mkdir()
@@ -623,6 +643,8 @@ EXIT_CASES = {
     "index file name outside the store": ("eval", "store/index.json",
                                           '{"entries": {"c0.audio": "../ref.mxeb"}}', [], 2,
                                           "'../ref.mxeb'"),
+    "zero-column reference": ("eval", "ref.mxeb", "MXEB\x01" + struct.pack("<II", 1, 0).decode(),
+                              [], 2, "stats need D+1 rows"),
     "unwritable store index": ("embed-mock", "store/index.json.tmp", None, [], 1,
                                "index.json"),
 }

@@ -188,7 +188,7 @@ def test_spectral_target_mean_oracle(rng):
 
 def test_eq_curve_identity_limit():
     m = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    curve = eq_curve(m, m, smooth_window=1, epsilon=1e-15)
+    curve = eq_curve(m, m, smooth_window=1, epsilon=1e-15, fft_size=8)
     assert np.allclose(curve.gains, 1.0, atol=1e-9)
 
 
@@ -196,14 +196,14 @@ def test_eq_curve_window_one_is_raw_ratio(rng):
     t = rng.uniform(0.1, 2, 33)
     s = rng.uniform(0.1, 2, 33)
     eps = 1e-8
-    curve = eq_curve(t, s, smooth_window=1, epsilon=eps)
+    curve = eq_curve(t, s, smooth_window=1, epsilon=eps, fft_size=64)
     assert np.allclose(curve.gains, t / (s + eps))
 
 
 def test_eq_curve_smoothing_oracle():
     t = np.array([1.0, 4.0, 1.0, 1.0])
     s = np.ones(4)
-    curve = eq_curve(t, s, smooth_window=3, epsilon=1e-15)
+    curve = eq_curve(t, s, smooth_window=3, epsilon=1e-15, fft_size=6)
     assert np.allclose(curve.gains, [2.5, 2.0, 2.0, 1.0], atol=1e-9)
 
 
@@ -211,7 +211,7 @@ def test_eq_curve_gains_finite_nonnegative(rng):
     for _ in range(10):
         t = rng.uniform(0, 10, 64)
         s = rng.uniform(0, 10, 64)
-        curve = eq_curve(t, s, smooth_window=5)
+        curve = eq_curve(t, s, smooth_window=5, fft_size=126)
         assert np.all(np.isfinite(curve.gains))
         assert np.all(curve.gains >= 0)
 

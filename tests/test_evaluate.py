@@ -51,11 +51,6 @@ def test_expand_empty():
     assert expand_prompts([]) == []
 
 
-def test_expand_bad_template():
-    with pytest.raises(errors.BadTemplate):
-        expand_prompts([ConceptPair("a", "b")], template="no slots here")
-
-
 def test_concept_pair_validation():
     with pytest.raises(ValueError):
         ConceptPair("same", "same")

@@ -45,9 +45,8 @@ def test_embedding_roundtrip(tmp_path, rng):
     path = tmp_path / "e.mxeb"
     e = Embedding(rng.normal(size=12).astype(np.float32))
     write_embedding(path, e)
-    loaded = read_embedding(path, clip_id="c1")
+    loaded = read_embedding(path)
     assert np.array_equal(loaded.values, e.values)
-    assert loaded.clip_id == "c1"
 
 
 def test_gaussian_stats_roundtrip(tmp_path, rng):
@@ -209,7 +208,7 @@ def test_zero_column_embedding_is_bad_format(tmp_path):
         read_embedding(path)
 
 
-@pytest.mark.parametrize("bad_id", ["", ".", "..", "a/b", "../escaped", "a\\b", "nul\0"])
+@pytest.mark.parametrize("bad_id", ["", ".", "..", "a/b", "../escaped", "a\\b", "nul\0", 5, None])
 def test_store_put_rejects_bad_ids(tmp_path, bad_id):
     root = tmp_path / "store"
     store = EmbeddingStore(root)
@@ -217,6 +216,8 @@ def test_store_put_rejects_bad_ids(tmp_path, bad_id):
         store.put(bad_id, np.zeros((1, 4)))
     assert not root.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+    store.put("5", np.ones((1, 4)))  # a rejected id leaves the store usable
+    assert EmbeddingStore(root).ids() == ["5"]
 
 
 @pytest.mark.parametrize("good_id", ["a", "clip0.latents", "...", ".hidden", "with space"])
