@@ -62,7 +62,10 @@ class Waveform:
 
 
 def _read_chunks(blob):
-    """Yield (chunk_id, payload) from the body of a RIFF file."""
+    """Yield (chunk_id, declared size, payload) from the body of a RIFF file.
+
+    The payload is cut short when the blob ends before the declared size.
+    """
     pos = 0
     while pos + 8 <= len(blob):
         cid = blob[pos:pos + 4]

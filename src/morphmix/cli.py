@@ -62,8 +62,11 @@ def load_config(args):
     })
     dist = dataset.ModeDistribution(**raw.get("mode_distribution", {}))
     window = dataset.TimestepWindow(**raw.get("timestep_window", {}))
-    seed = int(raw.get("seed", 0))
-    return params, dist, window, seed
+    seed = raw.get("seed", 0)
+    # int() raises OverflowError for 1e400 and ValueError for NaN
+    if isinstance(seed, bool) or not isinstance(seed, (int, float)) or int(seed) != seed:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return params, dist, window, int(seed)
 
 
 def _add_param_flags(parser):
@@ -179,7 +182,9 @@ def build_parser():
     p.add_argument("--primary-label", default="primary")
     p.add_argument("--secondary-label", default="secondary")
     p.add_argument("--per-channel", action="store_true",
-                   help="process channels independently instead of downmixing to mono")
+                   help="keep the primary's channels instead of downmixing to mono; the RMS "
+                        "and the target spectrum still pool all channels, and a secondary "
+                        "with more channels than the primary is downmixed")
     _add_param_flags(p)
     p.set_defaults(func=cmd_augment)
 

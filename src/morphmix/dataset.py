@@ -20,13 +20,6 @@ from .dsp import AugmentationMode, AugmentParams, augment_pair
 from .errors import (BadId, EmptyLabel, InvalidDistribution, MorphmixError, check_fields,
                      check_id, write_atomic)
 
-MODE_ORDER = (
-    AugmentationMode.RMS_ONLY,
-    AugmentationMode.SPECTRAL_ONLY,
-    AugmentationMode.BOTH,
-    AugmentationMode.NONE,
-)
-
 CAPTION_TEMPLATES = {
     AugmentationMode.RMS_ONLY: "The behavior of {x} with textures from {x} and {y}",
     AugmentationMode.SPECTRAL_ONLY: "A spectral blend of {x} and {y}",
@@ -46,7 +39,11 @@ class PairSpec:
 
 @dataclass(frozen=True)
 class ModeDistribution:
-    """Probability per augmentation mode, in MODE_ORDER."""
+    """Probability per augmentation mode.
+
+    Each field is named after an AugmentationMode value; sample_mode draws
+    over the fields in the order they are declared here.
+    """
 
     rms: float = 1 / 3
     spectral: float = 1 / 3
@@ -55,14 +52,11 @@ class ModeDistribution:
 
     def __post_init__(self):
         check_fields(self)
-        probs = self.as_tuple()
+        probs = dataclasses.astuple(self)
         if any(p < 0 for p in probs):
             raise InvalidDistribution(f"negative probability in {probs}")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise InvalidDistribution(f"probabilities sum to {sum(probs)!r}, expected 1")
-
-    def as_tuple(self):
-        return dataclasses.astuple(self)
 
 
 @dataclass(frozen=True)
@@ -73,6 +67,7 @@ class TimestepWindow:
     t_end: float = 1.0
 
     def __post_init__(self):
+        check_fields(self)
         if not (0.0 <= self.t_start < self.t_end <= 1.0):
             raise ValueError(f"need 0 <= t_start < t_end <= 1, got [{self.t_start}, {self.t_end}]")
 
@@ -117,14 +112,14 @@ def pair_rng(seed, pair_id):
 
 
 def sample_mode(rng, dist):
-    """Draw a mode by inverse CDF over the fixed MODE_ORDER."""
+    """Draw a mode by inverse CDF over dist's fields, in the order they are declared."""
     u = rng.random()
     acc = 0.0
-    for mode, p in zip(MODE_ORDER, dist.as_tuple()):
+    for name, p in dataclasses.asdict(dist).items():
         acc += p
         if u < acc:
-            return mode
-    return MODE_ORDER[-1]  # u landed in the final rounding gap
+            return AugmentationMode(name)
+    return AugmentationMode(name)  # u landed in the final rounding gap: the last field's mode
 
 
 def caption_for(mode, x, y):
@@ -156,14 +151,16 @@ def load_pairs(path):
 
 
 def check_pair_ids(pairs):
-    """Raise BadId for a pair id that is not one path component or that repeats, and
-    EmptyLabel for a label that is not a non-empty string.
+    """Raise BadId for a pair id that is not a string or an int, is not one path
+    component or repeats, and EmptyLabel for a label that is not a non-empty string.
 
     Each id names audio/<id>.wav, so a repeated id would overwrite an
     earlier pair's WAV and a path id would write outside audio/.
     """
     seen = set()
     for pair in pairs:
+        if isinstance(pair.id, bool) or not isinstance(pair.id, (str, int)):
+            raise BadId(f"pair id {pair.id!r} is not a string or an integer")
         check_id(pair.id)
         for label in (pair.primary_label, pair.secondary_label):
             if not (isinstance(label, str) and label):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .audio_io import Waveform, require_finite
+from .audio_io import Waveform, require_finite, to_mono
 from .errors import (
     EmptyInput,
     LengthMismatch,
@@ -220,10 +220,11 @@ def peak_normalize(w, peak):
 def augment_pair(primary, secondary, mode, params=AugmentParams()):
     """Render one surrogate morph from a (primary, secondary) pair.
 
-    The secondary is first looped or truncated to the primary's length. The
-    mode then selects the composition: a plain equal-power mix, RMS anchoring
-    to the primary's envelope, spectral interpolation, or both (spectral
-    first, then RMS anchoring so the output envelope tracks the primary).
+    The secondary is first looped or truncated to the primary's length, and
+    downmixed to mono if it has more channels than the primary. The mode then
+    selects the composition: a plain equal-power mix, RMS anchoring to the
+    primary's envelope, spectral interpolation, or both (spectral first, then
+    RMS anchoring so the output envelope tracks the primary).
     """
     if primary.sample_rate != secondary.sample_rate:
         raise SampleRateMismatch(
@@ -233,6 +234,8 @@ def augment_pair(primary, secondary, mode, params=AugmentParams()):
     require_finite(primary, "primary")
     require_finite(secondary, "secondary")
     secondary = loop_or_truncate(secondary, primary.n_samples)
+    if secondary.n_channels > primary.n_channels:  # the output has the primary's channels
+        secondary = to_mono(secondary)
 
     if mode is AugmentationMode.NONE:
         out = equal_power_mix(primary, secondary, params.epsilon)

@@ -140,10 +140,13 @@ def check_id(entry_id):
 
 
 def check_fields(record):
-    """TypeError for an int or str field of another type, ValueError for a non-finite float."""
+    """TypeError for an int or str field of another type or a bool in an int or float
+    field, ValueError for a non-finite float."""
     for f in dataclasses.fields(record):
         value = getattr(record, f.name)
-        if f.type in (int, str) and not isinstance(value, f.type):
+        # JSON true is not a number
+        bool_number = f.type in (int, float) and isinstance(value, bool)
+        if bool_number or (f.type in (int, str) and not isinstance(value, f.type)):
             raise TypeError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         if f.type is float and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")

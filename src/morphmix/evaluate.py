@@ -1,7 +1,7 @@
 """Corpus evaluation: prompt expansion, per-clip scoring, report rendering."""
 
 import dataclasses
-import io
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -106,33 +106,22 @@ def load_eval_clips(path):
     return [EvalClip.from_dict(d) for d in read_jsonl(path)]
 
 
-def _shared_embedding(store, shared, entry_id):
-    """store.embedding(entry_id), read at most once per shared dict.
-
-    A read that raises leaves nothing in the dict, so the next clip that
-    names the id reads it again and fails the same way.
-    """
-    emb = shared.get(entry_id)
-    if emb is None:
-        emb = shared[entry_id] = store.embedding(entry_id)
-    return emb
-
-
 def score_clip(clip, store, params=DirectionalityParams(), shared=None):
     """The clip's audio embedding and its four per-clip metrics; raises on missing data.
 
-    shared maps text and prompt ids to the embeddings read so far; many clips
-    name the same concept texts and prompts, and evaluate_corpus passes one
-    dict for all its clips. The audio embedding and latents are read per clip.
+    shared reads the text and prompt embeddings, store.embedding by default.
+    Many clips name the same concept texts and prompts, so evaluate_corpus
+    passes one memo of store.embedding for all its clips. The audio embedding
+    and latents are read per clip.
     """
     if shared is None:
-        shared = {}
+        shared = store.embedding
     audio = store.embedding(clip.audio_id)
     latents = store.latents(clip.latents_id)
-    sim_x = cosine_sim(audio, _shared_embedding(store, shared, clip.text_x_id))
-    sim_y = cosine_sim(audio, _shared_embedding(store, shared, clip.text_y_id))
-    s_int = cosine_sim(audio, _shared_embedding(store, shared, clip.prompt_intended_id))
-    s_rev = cosine_sim(audio, _shared_embedding(store, shared, clip.prompt_reversed_id))
+    sim_x = cosine_sim(audio, shared(clip.text_x_id))
+    sim_y = cosine_sim(audio, shared(clip.text_y_id))
+    s_int = cosine_sim(audio, shared(clip.prompt_intended_id))
+    s_rev = cosine_sim(audio, shared(clip.prompt_reversed_id))
     return audio, {
         "lcs": lcs(latents),
         "correspondence": correspondence(sim_x, sim_y),
@@ -155,7 +144,9 @@ def evaluate_corpus(clips, store, reference, params=DirectionalityParams(),
     per_clip = []
     pooled = []
     excluded = 0
-    shared = {}  # local to this call: the store may change between calls
+    # local to this call, as the store may change between calls; a read that
+    # raises is not cached, so each clip that names a bad entry is excluded
+    shared = functools.cache(store.embedding)
     for clip in clips:
         try:
             audio, scores = score_clip(clip, store, params, shared=shared)
@@ -196,26 +187,19 @@ def render_report(rows, fmt="markdown"):
     """Render evaluation rows as CSV or a Markdown table (best per column bolded)."""
     if not rows:
         raise EmptyInput("no rows to render")
+    body = [[r.model_name] + [f"{getattr(r, key):.3f}" for key in METRIC_COLUMNS] for r in rows]
     if fmt == "csv":
-        out = io.StringIO()
-        out.write(",".join(COLUMN_TITLES) + "\n")
-        for r in rows:
-            cells = [r.model_name] + [f"{getattr(r, k):.3f}" for k in METRIC_COLUMNS]
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
+        return "".join(",".join(cells) + "\n" for cells in [COLUMN_TITLES, *body])
     if fmt == "markdown":
-        best = _best_indices(rows)
+        if len(rows) > 1:
+            best = _best_indices(rows)
+            for col, key in enumerate(METRIC_COLUMNS, start=1):
+                cells = body[best[key]]
+                cells[col] = f"**{cells[col]}**"
         lines = [
             "| " + " | ".join(COLUMN_TITLES) + " |",
             "|" + "|".join(["---"] * len(COLUMN_TITLES)) + "|",
         ]
-        for i, r in enumerate(rows):
-            cells = [r.model_name]
-            for key in METRIC_COLUMNS:
-                text = f"{getattr(r, key):.3f}"
-                if len(rows) > 1 and best[key] == i:
-                    text = f"**{text}**"
-                cells.append(text)
-            lines.append("| " + " | ".join(cells) + " |")
+        lines += ["| " + " | ".join(cells) + " |" for cells in body]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -65,6 +65,18 @@ def test_augment_missing_file(tmp_path, wav_pair, capsys):
     assert "nope.wav" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["none", "rms", "spectral", "both"])
+@pytest.mark.parametrize("channels", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_augment_per_channel_keeps_the_primary_channels(tmp_path, rng, mode, channels):
+    paths = [tmp_path / "p.wav", tmp_path / "s.wav"]
+    for path, n, c in zip(paths, (6000, 4000), channels):
+        save_wav(random_wave(rng, n, channels=c), path, bit_depth=16)
+    out = tmp_path / "o.wav"
+    assert main(["augment", *map(str, paths), "--mode", mode, "--per-channel",
+                 "--out", str(out)]) == 0
+    assert load_wav(out).n_channels == channels[0]
+
+
 def _pairs_file(tmp_path, wav_pair, n=4):
     p, s = wav_pair
     path = tmp_path / "pairs.jsonl"
@@ -622,6 +634,24 @@ EXIT_CASES = {
                            "audio paths must be strings"),
     "empty pair label": ("build", "pairs.jsonl", {"primary_label": ""}, [], 2, "label ''"),
     "numeric pair label": ("build", "pairs.jsonl", {"secondary_label": 5}, [], 2, "label 5"),
+    "fractional seed": ("build", "config.json", '{"seed": 2.5}', [], 2,
+                        "seed must be an integer"),
+    "string seed": ("build", "config.json", '{"seed": "2"}', [], 2, "seed must be an integer"),
+    "bool seed": ("build", "config.json", '{"seed": true}', [], 2, "seed must be an integer"),
+    "null pair id": ("build", "pairs.jsonl", {"id": None}, [], 2, "pair id None"),
+    "bool pair id": ("build", "pairs.jsonl", {"id": True}, [], 2, "pair id True"),
+    "list pair id": ("build", "pairs.jsonl", {"id": [1]}, [], 2, "pair id [1]"),
+    "float pair id": ("build", "pairs.jsonl", {"id": 1.5}, [], 2, "pair id 1.5"),
+    "bool int parameter": ("build", "config.json", '{"augment_params": {"rms_hop": true}}', [],
+                           2, "rms_hop must be int"),
+    "bool float parameter": ("augment", "config.json", '{"augment_params": {"epsilon": true}}',
+                             [], 2, "epsilon must be float"),
+    "bool mode probabilities": ("build", "config.json",
+                                '{"mode_distribution": {"rms": true, "spectral": false, '
+                                '"both": false}}', [], 2, "rms must be float"),
+    "bool timestep window": ("build", "config.json",
+                             '{"timestep_window": {"t_start": false, "t_end": true}}', [], 2,
+                             "t_start must be float"),
     "fractional frame size": ("build", "config.json",
                               '{"augment_params": {"rms_frame_size": 2048.5}}', [], 2,
                               "rms_frame_size must be int"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -49,6 +50,16 @@ def test_sample_mode_degenerate():
     rng = np.random.default_rng(0)
     dist = ModeDistribution(1.0, 0.0, 0.0, 0.0)
     assert all(sample_mode(rng, dist) is AugmentationMode.RMS_ONLY for _ in range(100))
+
+
+@pytest.mark.parametrize("mode", list(AugmentationMode))
+def test_sample_mode_field_names_its_mode(mode):
+    # ModeDistribution's field names are the AugmentationMode values sample_mode returns
+    names = [f.name for f in dataclasses.fields(ModeDistribution)]
+    assert sorted(names) == sorted(m.value for m in AugmentationMode)
+    dist = ModeDistribution(**{name: float(name == mode.value) for name in names})
+    rng = np.random.default_rng(0)
+    assert all(sample_mode(rng, dist) is mode for _ in range(100))
 
 
 def test_sample_mode_frequencies_three_way():

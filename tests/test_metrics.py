@@ -326,6 +326,13 @@ def test_mock_latents_too_short(rng):
         mock_latents(random_wave(rng, 1000), dim=16)
 
 
+def test_mock_latents_three_frame_boundary(rng):
+    n = metrics._FRAME + 2 * metrics._HOP
+    with pytest.raises(errors.TooShort):
+        mock_latents(random_wave(rng, n - 1), dim=16)
+    assert mock_latents(random_wave(rng, n), dim=16).data.shape == (3, 16)
+
+
 @pytest.mark.parametrize("fn", [mock_embed, mock_latents])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_mock_rejects_non_finite(rng, fn, bad):
