@@ -64,11 +64,12 @@ class Waveform:
 def _read_chunks(blob):
     """Yield (chunk_id, declared size, payload) from the body of a RIFF file.
 
-    The payload is cut short when the blob ends before the declared size.
+    blob is a memoryview, so each payload is a view of the file's bytes, not
+    a copy. The payload is cut short when the blob ends before the declared size.
     """
     pos = 0
     while pos + 8 <= len(blob):
-        cid = blob[pos:pos + 4]
+        cid = bytes(blob[pos:pos + 4])
         (size,) = struct.unpack_from("<I", blob, pos + 4)
         payload = blob[pos + 8:pos + 8 + size]
         yield cid, size, payload
@@ -102,7 +103,7 @@ def load_wav(path):
 
     fmt = None
     data = None
-    for cid, size, payload in _read_chunks(raw[12:]):
+    for cid, size, payload in _read_chunks(memoryview(raw)[12:]):
         if cid == b"fmt " and fmt is None:
             if len(payload) < 16:
                 raise MalformedHeader(f"{path}: fmt chunk too short")
@@ -125,33 +126,39 @@ def load_wav(path):
     if n_channels not in (1, 2):
         raise UnsupportedEncoding(f"{path}: {n_channels} channels not supported")
 
+    # float and 16-bit samples are views of the file's bytes (24-bit ones an
+    # int32 array) until they are scaled into the (channels, samples) float32
+    # array that the Waveform keeps without another copy; no view of the file's
+    # bytes outlives the call
     if audio_format == _FMT_IEEE_FLOAT:
         if bits != 32:
             raise UnsupportedEncoding(f"{path}: {bits}-bit float not supported")
-        samples = np.frombuffer(data[:len(data) - len(data) % 4], dtype="<f4").astype(np.float32)
+        samples, scale = np.frombuffer(data, dtype="<f4", count=len(data) // 4), 1.0
     elif bits == 16:
-        samples = np.frombuffer(data[:len(data) - len(data) % 2], dtype="<i2")
-        samples = samples.astype(np.float32) / 32768.0
+        samples, scale = np.frombuffer(data, dtype="<i2", count=len(data) // 2), 32768.0
     elif bits == 24:
         # a little-endian sample is an unsigned low 16 bits and a signed top byte
         b = np.frombuffer(data, dtype=_PCM24, count=len(data) // 3)
-        ints = b["hi"].astype(np.int32) << 16
-        ints |= b["lo"]
-        samples = ints.astype(np.float32) / float(1 << 23)
+        samples = b["hi"].astype(np.int32)
+        samples <<= 16
+        samples |= b["lo"]
+        scale = float(1 << 23)
     else:
         raise UnsupportedEncoding(f"{path}: {bits}-bit PCM not supported")
 
     n_frames = len(samples) // n_channels
     frames = samples[:n_frames * n_channels].reshape(n_frames, n_channels)
-    return Waveform(frames.T.copy(), sample_rate)
+    out = np.empty((n_channels, n_frames), dtype=np.float32)
+    np.divide(frames.T, scale, out=out, dtype=np.float32)
+    return Waveform(out, sample_rate)
 
 
-def _quantize(x, bits):
-    """Clamp to [-1, 1] and round half away from zero to a signed int."""
+def _quantize(x, bits, dtype):
+    """Clamp to [-1, 1] and round half away from zero to a C-ordered signed int of dtype."""
     scale = float(1 << (bits - 1))
     x = np.clip(x.astype(np.float64), -1.0, 1.0) * scale
     q = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-    return np.clip(q, -scale, scale - 1).astype(np.int64)
+    return np.clip(q, -scale, scale - 1).astype(dtype, order="C")
 
 
 def save_wav(w, path, bit_depth=32):
@@ -161,34 +168,39 @@ def save_wav(w, path, bit_depth=32):
     if w.n_samples < 1:
         raise InvalidWaveform("cannot save an empty waveform")
 
+    # the payload is a C-ordered array of interleaved frames, written as it is
     frames = w.data.T  # (n_samples, n_channels)
     if bit_depth == 32:
-        payload = frames.astype("<f4").tobytes()
-        fmt_tag, bits = _FMT_IEEE_FLOAT, 32
+        payload = np.ascontiguousarray(frames, dtype="<f4")
+        fmt_tag = _FMT_IEEE_FLOAT
     elif bit_depth == 16:
-        payload = _quantize(frames, 16).astype("<i2").tobytes()
-        fmt_tag, bits = _FMT_PCM, 16
+        payload = _quantize(frames, 16, "<i2")
+        fmt_tag = _FMT_PCM
     else:
-        q = _quantize(frames, 24).ravel()
-        b = np.empty(len(q), _PCM24)
-        b["lo"] = q & 0xFFFF
-        b["hi"] = q >> 16
-        payload = b.tobytes()
-        fmt_tag, bits = _FMT_PCM, 24
+        q = _quantize(frames, 24, np.int32).ravel()
+        payload = np.empty(len(q), _PCM24)
+        payload["lo"] = q & 0xFFFF
+        payload["hi"] = q >> 16
+        fmt_tag = _FMT_PCM
 
     n_channels = w.n_channels
-    block_align = n_channels * bits // 8
+    block_align = n_channels * bit_depth // 8
     byte_rate = w.sample_rate * block_align
-    fmt_chunk = struct.pack(
-        "<HHIIHH", fmt_tag, n_channels, w.sample_rate, byte_rate, block_align, bits
+    pad = payload.nbytes & 1
+    # "WAVE", the 8-byte fmt chunk header and its 16 bytes, the data chunk header
+    riff_size = 4 + 8 + 16 + 8 + payload.nbytes + pad
+    for name, value, limit in (("block align", block_align, 0xFFFF),
+                               ("byte rate", byte_rate, 0xFFFFFFFF),
+                               ("RIFF size", riff_size, 0xFFFFFFFF)):
+        if value > limit:
+            raise UnsupportedEncoding(f"{path}: {name} {value} does not fit a WAV header")
+    header = (
+        b"RIFF" + struct.pack("<I", riff_size) + b"WAVE"
+        + b"fmt " + struct.pack("<IHHIIHH", 16, fmt_tag, n_channels, w.sample_rate,
+                                byte_rate, block_align, bit_depth)
+        + b"data" + struct.pack("<I", payload.nbytes)
     )
-    body = (
-        b"WAVE"
-        + b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
-        + b"data" + struct.pack("<I", len(payload)) + payload
-        + (b"\x00" if len(payload) & 1 else b"")
-    )
-    write_atomic(path, b"RIFF" + struct.pack("<I", len(body)) + body)
+    write_atomic(path, header, payload, b"\x00" * pad)
 
 
 def to_mono(w):

@@ -154,6 +154,9 @@ def cmd_eval(args):
         emb_store = store.EmbeddingStore(args.store)
         reference = store.read_gaussian_stats(args.reference)
         params = metrics.DirectionalityParams(temperature=args.temperature)
+        if "\r" in args.model_name or "\n" in args.model_name:
+            # a report row is one line in both formats
+            raise UsageError(f"--model-name must be one line, got {args.model_name!r}")
     row = evaluate.evaluate_corpus(
         clips, emb_store, reference, params, model_name=args.model_name,
         on_error=lambda cid, e: print(f"excluded {cid}: {e}", file=sys.stderr),

@@ -107,8 +107,11 @@ def loop_or_truncate(w, target_len):
 def equal_power_mix(primary, secondary, epsilon=1e-8):
     """Sum primary with secondary rescaled to the primary's full-clip RMS (0 dB SNR)."""
     _check_compatible(primary, secondary)
-    mixed = primary.data.astype(np.float64) + _match_power(primary, secondary, epsilon)
-    return Waveform(mixed.astype(np.float32), primary.sample_rate)
+    # the float64 sum is rounded straight into the float32 result, which takes
+    # the broadcast shape of a mono and a stereo input
+    mixed = np.empty(np.broadcast_shapes(primary.data.shape, secondary.data.shape), np.float32)
+    np.add(primary.data, _match_power(primary, secondary, epsilon), out=mixed, dtype=np.float64)
+    return Waveform(mixed, primary.sample_rate)
 
 
 def _match_power(primary, secondary, epsilon):
@@ -119,7 +122,9 @@ def _match_power(primary, secondary, epsilon):
         raise SilentPrimary(f"primary RMS {rp:g} below epsilon {epsilon:g}")
     if rs < epsilon:
         raise SilentSecondary(f"secondary RMS {rs:g} below epsilon {epsilon:g}")
-    return secondary.data.astype(np.float64) * (rp / rs)
+    matched = secondary.data.astype(np.float64)
+    matched *= rp / rs
+    return matched
 
 
 def rms_envelope(w, frame_size, hop):
@@ -131,7 +136,8 @@ def rms_envelope(w, frame_size, hop):
     if w.n_channels == 1:
         vals = kernels.frame_rms(w.data[0], frame_size, hop, n_frames)
     else:
-        sq = np.sqrt(np.mean(np.square(w.data, dtype=np.float64), axis=0))
+        sq = np.mean(np.square(w.data, dtype=np.float64), axis=0)
+        np.sqrt(sq, out=sq)
         # frame_rms squares its input, so feed the per-sample cross-channel RMS
         vals = kernels.frame_rms(sq, frame_size, hop, n_frames)
     return RmsEnvelope(vals, frame_size, hop, w.n_samples)
@@ -150,7 +156,14 @@ def apply_rms_envelope(target, w, epsilon=1e-8):
     own = rms_envelope(w, target.frame_size, target.hop)
     gains = target.frame_rms / (own.frame_rms + epsilon)
     per_sample = kernels.interp_frame_gains(gains, target.frame_size, target.hop, w.n_samples)
-    return Waveform((w.data.astype(np.float64) * per_sample).astype(np.float32), w.sample_rate)
+    return Waveform(_scaled(w.data, per_sample), w.sample_rate)
+
+
+def _scaled(x, gain):
+    """float32 x times gain, multiplied in float64 and rounded once to float32."""
+    out = np.empty_like(x)
+    np.multiply(x, gain, out=out, dtype=np.float64)
+    return out
 
 
 def spectral_target(mag1, mag2):
@@ -200,21 +213,25 @@ def spectral_interpolate(w1, w2, params=AugmentParams()):
     mag1 = np.abs(spec1).mean(axis=0)
     mag2 = np.abs(spec2).mean(axis=0)
     target = spectral_target(mag1, mag2)
-    c1 = eq_curve(target, mag1, params.eq_smooth_window, params.epsilon, fft_size=n)
-    c2 = eq_curve(target, mag2, params.eq_smooth_window, params.epsilon, fft_size=n)
-    # the filtered spectra are summed before one inverse transform, in place
-    spec1 *= c1.gains
-    spec2 *= c2.gains
+    # each array is dropped once used, so no dead spectrum, magnitude or curve
+    # is held through the later stages; the filtered spectra are summed in place
+    spec2 *= eq_curve(target, mag2, params.eq_smooth_window, params.epsilon, fft_size=n).gains
+    del mag2
+    spec1 *= eq_curve(target, mag1, params.eq_smooth_window, params.epsilon, fft_size=n).gains
+    del mag1, target
     spec1 += spec2
-    return Waveform(np.fft.irfft(spec1, n=n, axis=1).astype(np.float32), w1.sample_rate)
+    del spec2
+    out = np.fft.irfft(spec1, n=n, axis=1)
+    del spec1
+    return Waveform(out.astype(np.float32), w1.sample_rate)
 
 
 def peak_normalize(w, peak):
     """Scale down so the absolute peak does not exceed `peak`; never scales up."""
-    m = float(np.max(np.abs(w.data))) if w.n_samples else 0.0
+    m = float(max(w.data.max(), -w.data.min())) if w.n_samples else 0.0
     if m <= peak or m == 0.0:
         return w
-    return Waveform((w.data.astype(np.float64) * (peak / m)).astype(np.float32), w.sample_rate)
+    return Waveform(_scaled(w.data, peak / m), w.sample_rate)
 
 
 def augment_pair(primary, secondary, mode, params=AugmentParams()):
@@ -241,14 +258,17 @@ def augment_pair(primary, secondary, mode, params=AugmentParams()):
         out = equal_power_mix(primary, secondary, params.epsilon)
     elif mode is AugmentationMode.RMS_ONLY:
         mix = equal_power_mix(primary, secondary, params.epsilon)
+        del secondary  # often a looped copy: free it before the envelope stages
         env = rms_envelope(primary, params.rms_frame_size, params.rms_hop)
         out = apply_rms_envelope(env, mix, params.epsilon)
     elif mode in (AugmentationMode.SPECTRAL_ONLY, AugmentationMode.BOTH):
-        matched = Waveform(
+        # the power-matched copy replaces the looped one, and is freed once filtered
+        secondary = Waveform(
             _match_power(primary, secondary, params.epsilon).astype(np.float32),
             secondary.sample_rate,
         )
-        out = spectral_interpolate(primary, matched, params)
+        out = spectral_interpolate(primary, secondary, params)
+        del secondary
         if mode is AugmentationMode.BOTH:
             env = rms_envelope(primary, params.rms_frame_size, params.rms_hop)
             out = apply_rms_envelope(env, out, params.epsilon)

@@ -152,15 +152,17 @@ def check_fields(record):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
-def write_atomic(path, data):
-    """Write bytes to <path>.tmp and rename it over path: path holds the old file or the new one.
+def write_atomic(path, *chunks):
+    """Write the chunks, each bytes-like, in order to <path>.tmp and rename it over path:
+    path holds the old file or the new one.
 
     A failed write or rename removes the temp file and raises IoFailure.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except OSError as e:
         with contextlib.suppress(OSError):

@@ -1,7 +1,9 @@
 """Corpus evaluation: prompt expansion, per-clip scoring, report rendering."""
 
+import csv
 import dataclasses
 import functools
+import io
 from dataclasses import dataclass
 from importlib import resources
 
@@ -189,8 +191,13 @@ def render_report(rows, fmt="markdown"):
         raise EmptyInput("no rows to render")
     body = [[r.model_name] + [f"{getattr(r, key):.3f}" for key in METRIC_COLUMNS] for r in rows]
     if fmt == "csv":
-        return "".join(",".join(cells) + "\n" for cells in [COLUMN_TITLES, *body])
+        # the writer quotes a model name that holds a comma, a quote or a newline
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([COLUMN_TITLES, *body])
+        return out.getvalue()
     if fmt == "markdown":
+        for cells in body:
+            cells[0] = cells[0].replace("|", "\\|")
         if len(rows) > 1:
             best = _best_indices(rows)
             for col, key in enumerate(METRIC_COLUMNS, start=1):

@@ -8,12 +8,14 @@ HAVE_NUMBA = False
 
 def frame_rms(x, frame_size, hop, n_frames):
     """Per-frame RMS over windows [k*hop, k*hop+frame_size), zero-padded."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x)
     # cumulative sum of squares gives each window sum in O(1); windows past
-    # the end are zero-padded, so the divisor stays frame_size
+    # the end are zero-padded, so the divisor stays frame_size. The float64
+    # squares are written into the sum's own buffer and summed in place.
     n = len(x)
     sq = np.zeros(n + 1)
-    np.cumsum(x * x, out=sq[1:])
+    np.square(x, out=sq[1:], dtype=np.float64)
+    np.cumsum(sq[1:], out=sq[1:])
     starts = np.minimum(np.arange(n_frames) * hop, n)
     stops = np.minimum(starts + frame_size, n)
     return np.sqrt((sq[stops] - sq[starts]) / frame_size)
@@ -68,7 +70,9 @@ def moving_average(x, window):
     # full windows in the interior are plain slices; only the two edge runs
     # of `half` samples have truncated windows and need index arithmetic
     out = np.empty(n)
-    out[half:n - half] = (cs[window:] - cs[:n + 1 - window]) / window
+    interior = out[half:n - half]
+    np.subtract(cs[window:], cs[:n + 1 - window], out=interior)
+    interior /= window
     out[:half] = _truncated_mean(cs, np.arange(half), half, n)
     out[n - half:] = _truncated_mean(cs, np.arange(n - half, n), half, n)
     return out

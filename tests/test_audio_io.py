@@ -64,6 +64,28 @@ def test_quantizer_matches_direct_formula(tmp_path, rng):
 
 
 @pytest.mark.parametrize("bits", [16, 24])
+def test_quantizer_rounds_halves_away_from_zero(tmp_path, bits):
+    # k + 1/2 steps of 2^-(bits-1) are exact in float32, so each is a true tie
+    scale = 2.0 ** (bits - 1)
+    halves = [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, -0.25, 0.25]
+    path = tmp_path / "a.wav"
+    save_wav(make_wave([h / scale for h in halves]), path, bit_depth=bits)
+    assert list(load_wav(path).data[0] * scale) == [1, -1, 2, -2, 3, -3, 0, 0]
+
+
+@pytest.mark.parametrize("sample_rate,channels,bits,field", [
+    (1 << 30, 1, 32, "byte rate"),
+    ((1 << 31) - 1, 2, 16, "byte rate"),
+])
+def test_header_field_past_its_width_is_unsupported(tmp_path, sample_rate, channels, bits, field):
+    path = tmp_path / "a.wav"
+    w = Waveform(np.zeros((channels, 10), np.float32), sample_rate)
+    with pytest.raises(errors.UnsupportedEncoding, match=field):
+        save_wav(w, path, bit_depth=bits)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bits", [16, 24])
 def test_roundtrip_byte_identical_int_pcm(tmp_path, rng, bits):
     # save->load->save must reproduce the data chunk byte for byte
     f1 = tmp_path / "one.wav"

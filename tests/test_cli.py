@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -380,6 +381,60 @@ def test_embed_mock_corrupt_wav(tmp_path, wav_pair, capsys):
     assert "good" in index["entries"]
 
 
+def _wav_at_rate(path, rng, sample_rate):
+    """A 4,000-sample PCM16 WAV whose header names sample_rate."""
+    save_wav(random_wave(rng, 4000, amp=0.3), path, bit_depth=16)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<II", blob, 24, sample_rate, sample_rate * 2)
+    path.write_bytes(bytes(blob))
+
+
+def test_build_sample_rate_past_the_header_fails_its_pair(tmp_path, rng, capsys):
+    # a float32 output at 2^30 Hz has a byte rate of 2^32, one past a uint32
+    p, s = tmp_path / "p.wav", tmp_path / "s.wav"
+    _wav_at_rate(p, rng, 1 << 30)
+    _wav_at_rate(s, rng, 1 << 30)
+    pairs = _pairs_file(tmp_path, (p, s), n=1)
+    out = tmp_path / "out"
+    assert main(["build", str(pairs), "--out-dir", str(out)]) == 1
+    cap = capsys.readouterr()
+    assert "0 built, 1 failed" in cap.out
+    assert cap.err.startswith("failed pair0: UnsupportedEncoding: ") and "byte rate" in cap.err
+    entry = json.loads((out / "manifest.jsonl").read_text())
+    assert entry["error"].startswith("UnsupportedEncoding: ")
+    assert list((out / "audio").iterdir()) == []
+
+
+def test_augment_sample_rate_past_the_header_is_an_error_line(tmp_path, rng, capsys):
+    p = tmp_path / "p.wav"
+    _wav_at_rate(p, rng, 1 << 30)
+    out = tmp_path / "o.wav"
+    assert main(["augment", str(p), str(p), "--mode", "spectral", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "byte rate" in err and len(err.splitlines()) == 1
+    assert not out.exists() and not (tmp_path / "o.wav.tmp").exists()
+
+
+@pytest.mark.parametrize("name", ["base, v2", 'say "hi"'])
+def test_eval_csv_quotes_the_model_name(tmp_path, rng, capsys, name):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    assert main(["eval", str(clips_path), "--store", str(store.root),
+                 "--reference", str(ref_path), "--format", "csv", "--model-name", name]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [len(r) for r in rows] == [6, 6]
+    assert rows[1][0] == name
+
+
+def test_eval_markdown_escapes_a_pipe_in_the_model_name(tmp_path, rng, capsys):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    assert main(["eval", str(clips_path), "--store", str(store.root),
+                 "--reference", str(ref_path), "--model-name", "a|b"]) == 0
+    row = capsys.readouterr().out.splitlines()[2]
+    assert row.startswith("| a\\|b | ")
+    # an escaped pipe does not end a cell: the row has the header's six cells
+    assert len(re.split(r"(?<!\\)\|", row)) - 2 == 6
+
+
 def _eval_setup(tmp_path, rng):
     store = EmbeddingStore(tmp_path / "store")
     clips = []
@@ -663,6 +718,10 @@ EXIT_CASES = {
                             "epsilon must be finite"),
     "nan mode probability": ("build", "config.json", '{"mode_distribution": {"rms": NaN}}', [],
                              2, "rms must be finite"),
+    "model name with a newline": ("eval", None, None, ["--model-name", "two\nlines"], 2,
+                                  "--model-name must be one line"),
+    "model name with a carriage return": ("eval", None, None, ["--model-name", "a\rb"], 2,
+                                          "--model-name must be one line"),
     "nan temperature": ("eval", None, None, ["--temperature", "nan"], 2,
                         "temperature must be finite"),
     "empty augment label": ("augment", None, None, ["--primary-label", ""], 2, "non-empty"),

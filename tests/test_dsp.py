@@ -78,6 +78,15 @@ def test_mix_rms_recomputation_oracle(rng):
         assert np.sqrt(np.mean(residual ** 2)) == pytest.approx(rp, rel=1e-6)
 
 
+@pytest.mark.parametrize("p_channels,s_channels", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_mix_broadcasts_channels_like_the_float64_formula(rng, p_channels, s_channels):
+    p = random_wave(rng, 1000, channels=p_channels)
+    s = random_wave(rng, 1000, amp=0.1, channels=s_channels)
+    scaled = s.data.astype(np.float64) * (full_rms(p) / full_rms(s))
+    expect = (p.data.astype(np.float64) + scaled).astype(np.float32)
+    assert np.array_equal(equal_power_mix(p, s).data, expect)
+
+
 def test_mix_silent_inputs():
     loud = make_wave(np.full(64, 0.5))
     quiet = make_wave(np.zeros(64))

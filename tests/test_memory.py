@@ -1,0 +1,69 @@
+"""Peak memory of one pair's stages, in multiples of the signal's float32 bytes.
+
+tracemalloc counts every numpy data allocation, so each peak is the same on
+every run and the bounds can sit just above the measured values. The bounds
+hold the working set that `build` needs per worker thread: an extra copy of
+the signal in any stage moves its peak by at least one unit (a float64 copy
+by two) and fails here.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from morphmix.audio_io import Waveform, load_wav, save_wav
+from morphmix.dsp import AugmentationMode, augment_pair
+
+N = 120_000  # 2.5 s at 48 kHz: large enough that the fixed costs are under 0.1 unit
+
+
+def _peak_units(fn, signal_bytes):
+    """Peak bytes allocated while fn runs, its result included, over signal_bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / signal_bytes
+
+
+def _noise(rng, shape):
+    return (0.3 * rng.standard_normal(shape)).astype(np.float32)
+
+
+# measured 4.28, 5.04, 11.29 and 11.01; with a float64 temporary per stage they read
+# 5.14, 8.03, 14.29 and 14.01
+@pytest.mark.parametrize("mode,bound", [
+    (AugmentationMode.NONE, 4.5),
+    (AugmentationMode.RMS_ONLY, 5.5),
+    (AugmentationMode.SPECTRAL_ONLY, 11.5),
+    (AugmentationMode.BOTH, 11.5),
+])
+def test_augment_pair_peak(rng, mode, bound):
+    primary = Waveform(_noise(rng, N), 48000)
+    secondary = Waveform(_noise(rng, 50_000), 48000)  # looped, as most build pairs are
+    units = _peak_units(lambda: augment_pair(primary, secondary, mode), primary.data.nbytes)
+    assert units < bound
+
+
+# measured (stereo) 1.54, 2.79 and 2.00; with a copy of the file's bytes and float64
+# temporaries they read 3.0, 4.5 and 4.0
+@pytest.mark.parametrize("bits,bound", [(16, 2.0), (24, 3.25), (32, 2.5)])
+def test_load_wav_peak(tmp_path, rng, bits, bound):
+    w = Waveform(_noise(rng, (2, N)), 48000)
+    path = tmp_path / "a.wav"
+    save_wav(w, path, bit_depth=bits)
+    assert _peak_units(lambda: load_wav(path), w.data.nbytes) < bound
+
+
+# the 32-bit float save that build makes: measured 1.01 (stereo); with the payload
+# copied by tobytes and two bytes concatenations it read 3.0
+def test_save_wav_peak(tmp_path, rng):
+    w = Waveform(_noise(rng, (2, N)), 48000)
+    assert _peak_units(lambda: save_wav(w, tmp_path / "a.wav"), w.data.nbytes) < 1.5
