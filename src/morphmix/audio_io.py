@@ -12,11 +12,11 @@ import numpy as np
 
 from .errors import (
     InvalidWaveform,
-    IoFailure,
     MalformedHeader,
     NonFiniteInput,
     TruncatedData,
     UnsupportedEncoding,
+    read_bytes,
     write_atomic,
 )
 
@@ -92,12 +92,7 @@ def load_wav(path):
     Raises MalformedHeader, UnsupportedEncoding or TruncatedData on bad input,
     and IoFailure if the file cannot be read.
     """
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise IoFailure(f"{path}: {e}") from e
-
+    raw = read_bytes(path)
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise MalformedHeader(f"{path}: not a RIFF/WAVE file")
 
@@ -125,6 +120,8 @@ def load_wav(path):
         raise UnsupportedEncoding(f"{path}: format tag {audio_format} not supported")
     if n_channels not in (1, 2):
         raise UnsupportedEncoding(f"{path}: {n_channels} channels not supported")
+    if block_align != n_channels * bits // 8:  # samples are decoded as packed frames
+        raise UnsupportedEncoding(f"{path}: block align {block_align} for {n_channels}x{bits} bits")
 
     # float and 16-bit samples are views of the file's bytes (24-bit ones an
     # int32 array) until they are scaled into the (channels, samples) float32

@@ -9,6 +9,7 @@ draw sequence of any pair.
 import dataclasses
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,23 +143,24 @@ def read_jsonl(path):
 
 
 def load_pairs(path):
-    """Read a JSON-lines file of PairSpec objects; TypeError for an audio path not a string."""
-    pairs = [PairSpec(**d) for d in read_jsonl(path)]
-    for pair in pairs:
-        if not (isinstance(pair.primary_path, str) and isinstance(pair.secondary_path, str)):
-            raise TypeError(f"pair {pair.id!r}: audio paths must be strings")
-    return pairs
+    """Read a JSON-lines file of PairSpec objects; check_pair_ids checks their fields."""
+    return [PairSpec(**d) for d in read_jsonl(path)]
 
 
 def check_pair_ids(pairs):
-    """Raise BadId for a pair id that is not a string or an int, is not one path
-    component or repeats, and EmptyLabel for a label that is not a non-empty string.
+    """Raise TypeError for an audio path that is neither a str nor os.PathLike, BadId
+    for a pair id that is not a string or an int, is not one path component or
+    repeats, and EmptyLabel for a label that is not a non-empty string.
 
     Each id names audio/<id>.wav, so a repeated id would overwrite an
-    earlier pair's WAV and a path id would write outside audio/.
+    earlier pair's WAV and a path id would write outside audio/; an int
+    audio path would be opened, and closed, as a file descriptor.
     """
     seen = set()
     for pair in pairs:
+        if not all(isinstance(p, (str, os.PathLike))
+                   for p in (pair.primary_path, pair.secondary_path)):
+            raise TypeError(f"pair {pair.id!r}: audio paths must be strings or os.PathLike")
         if isinstance(pair.id, bool) or not isinstance(pair.id, (str, int)):
             raise BadId(f"pair id {pair.id!r} is not a string or an integer")
         check_id(pair.id)

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package, the id and record field checks,
-and the atomic file write behind IoFailure."""
+and the whole-file read and atomic write behind IoFailure."""
 
 import contextlib
 import dataclasses
+import io
 import math
 import os
 
@@ -150,6 +151,15 @@ def check_fields(record):
             raise TypeError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         if f.type is float and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
+def read_bytes(path):
+    """The bytes of the file at path; IoFailure if it cannot be read."""
+    try:
+        with io.FileIO(path) as f:  # unbuffered: one read of the whole file
+            return f.read()
+    except OSError as e:
+        raise IoFailure(f"{path}: {e}") from e
 
 
 def write_atomic(path, *chunks):

@@ -4,17 +4,20 @@ MXEB layout: magic b"MXEB", version byte 0x01, uint32-le row count T,
 uint32-le column count D, then T*D float32-le values row-major. A single
 embedding is stored with T = 1; Gaussian statistics use T = D+1 rows
 (row 0 the mean, rows 1..D the covariance).
+
+read_mxeb is the one place that checks a payload: exactly T*D finite
+float32 values, or BadFormat. The typed readers check only the shape.
 """
 
 import contextlib
 import json
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadFormat, BadId, IoFailure, MissingEmbedding, check_id, write_atomic
+from .errors import (BadFormat, BadId, IoFailure, MissingEmbedding, check_id, read_bytes,
+                     write_atomic)
 from .metrics import Embedding, GaussianStats, LatentMatrix
 
 MAGIC = b"MXEB"
@@ -41,25 +44,20 @@ def write_mxeb(path, matrix):
 
 def read_mxeb(path):
     """Read an MXEB file into a float64 (T, D) array; IoFailure if it cannot be read."""
-    try:
-        with open(path, "rb") as f:
-            header = f.read(13)
-            if len(header) < 13 or header[:4] != MAGIC:
-                raise BadFormat(f"{path}: bad magic")
-            if header[4] != VERSION:
-                raise BadFormat(f"{path}: unsupported version {header[4]}")
-            t, d = struct.unpack("<II", header[5:13])
-            size = 4 * t * d
-            # checked before the read, so a corrupt header cannot ask for 16 GiB
-            have = os.fstat(f.fileno()).st_size - 13
-            if have != size:
-                raise BadFormat(f"{path}: expected {size} payload bytes, got {have}")
-            body = f.read(size)
-    except OSError as e:
-        raise IoFailure(f"{path}: {e.strerror or e}") from e
-    if len(body) != size:
-        raise BadFormat(f"{path}: expected {size} payload bytes, got {len(body)}")
-    return np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t, d)
+    raw = read_bytes(path)
+    if len(raw) < 13 or raw[:4] != MAGIC:
+        raise BadFormat(f"{path}: bad magic")
+    if raw[4] != VERSION:
+        raise BadFormat(f"{path}: unsupported version {raw[4]}")
+    t, d = struct.unpack_from("<II", raw, 5)
+    size, have = 4 * t * d, len(raw) - 13
+    # checked before frombuffer, so a corrupt header cannot ask for more than the file holds
+    if have != size:
+        raise BadFormat(f"{path}: expected {size} payload bytes, got {have}")
+    values = np.frombuffer(raw, dtype="<f4", offset=13)
+    if not np.isfinite(values).all():
+        raise BadFormat(f"{path}: payload holds a NaN or infinite value")
+    return values.astype(np.float64).reshape(t, d)
 
 
 def write_embedding(path, emb):
@@ -68,20 +66,14 @@ def write_embedding(path, emb):
 
 def read_embedding(path):
     m = read_mxeb(path)
-    if m.shape[0] != 1:
-        raise BadFormat(f"{path}: expected a single row for an embedding, got {m.shape[0]}")
-    try:
-        return Embedding(m[0])
-    except ValueError as e:  # no columns, or a NaN or infinite value
-        raise BadFormat(f"{path}: {e}") from e
+    t, d = m.shape
+    if t != 1 or d < 1:
+        raise BadFormat(f"{path}: an embedding needs 1 row of D >= 1 columns, got {t}x{d}")
+    return Embedding(m[0])
 
 
 def read_latents(path):
-    m = read_mxeb(path)
-    try:
-        return LatentMatrix(m)
-    except ValueError as e:  # a NaN or infinite value
-        raise BadFormat(f"{path}: {e}") from e
+    return LatentMatrix(read_mxeb(path))
 
 
 def write_gaussian_stats(path, stats):
@@ -100,8 +92,6 @@ def read_gaussian_stats(path):
     t, d = m.shape
     if d < 1 or t != d + 1:
         raise BadFormat(f"{path}: stats need D+1 rows for D >= 1 columns, got {t}x{d}")
-    if not np.all(np.isfinite(m)):
-        raise BadFormat(f"{path}: stats hold a NaN or infinite value")
     return GaussianStats(m[0], 0.5 * (m[1:] + m[1:].T), count=2)
 
 
@@ -119,7 +109,7 @@ class EmbeddingStore:
             with open(index_path, encoding="utf-8") as f:
                 try:
                     index = json.load(f)
-                except ValueError as e:  # not JSON, or not UTF-8
+                except ValueError as e:  # not JSON, not UTF-8, or an int past 4,300 digits
                     raise BadFormat(f"{index_path}: not a JSON index: {e}") from e
             entries = index.get("entries") if isinstance(index, dict) else None
             if not (isinstance(entries, dict)

@@ -212,6 +212,20 @@ def test_unsupported_encoding(tmp_path):
 
 
 
+@pytest.mark.parametrize("bits,channels,block_align",
+                         [(16, 2, 3), (16, 2, 8), (16, 2, 2), (16, 1, 4), (24, 1, 4), (32, 2, 4)])
+def test_block_align_other_than_packed_frames_is_unsupported(tmp_path, rng, bits, channels,
+                                                             block_align):
+    path = tmp_path / "a.wav"
+    save_wav(random_wave(rng, 100, channels=channels), path, bit_depth=bits)
+    raw = bytearray(path.read_bytes())  # save_wav writes the fmt chunk first
+    assert struct.unpack_from("<H", raw, 32) == (channels * bits // 8,)
+    struct.pack_into("<H", raw, 32, block_align)
+    path.write_bytes(raw)
+    with pytest.raises(errors.UnsupportedEncoding, match="block align"):
+        load_wav(path)
+
+
 def extensible_copy(src, dst, subformat, fmt_len=40, cb_size=22):
     """Rewrite src's fmt chunk as WAVE_FORMAT_EXTENSIBLE naming `subformat`."""
     _, ch, sr, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", src.read_bytes(), 20)

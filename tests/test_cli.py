@@ -269,6 +269,20 @@ def test_embed_mock_non_finite_clip(tmp_path, rng, capsys, latents):
     assert EmbeddingStore(tmp_path / "st").ids() == good
 
 
+def test_embed_mock_block_align_other_than_packed_frames_fails_its_clip(tmp_path, rng, capsys):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    for name in "abc":
+        save_wav(random_wave(rng, 9000, channels=2), audio_dir / f"{name}.wav", bit_depth=16)
+    raw = bytearray((audio_dir / "b.wav").read_bytes())
+    struct.pack_into("<H", raw, 32, 3)  # the fmt chunk's block align; packed frames are 4
+    (audio_dir / "b.wav").write_bytes(raw)
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(tmp_path / "st")]) == 1
+    failed = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("failed ")]
+    assert len(failed) == 1 and failed[0].startswith("failed b.wav: ")
+    assert EmbeddingStore(tmp_path / "st").ids() == ["a", "c"]
+
+
 def test_embed_mock_short_clip_stores_its_embedding_only(tmp_path, rng, capsys):
     audio_dir = tmp_path / "clips"
     audio_dir.mkdir()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -334,6 +335,27 @@ def test_build_dataset_rejects_bad_ids_before_writing(tmp_path, ids):
     with pytest.raises(errors.BadId):
         build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 5, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_build_dataset_rejects_a_file_descriptor_path(tmp_path):
+    # an int path would be opened (and closed) as a file descriptor
+    p0, = _write_corpus(tmp_path, 1)
+    fd = os.open(tmp_path / "keep", os.O_RDWR | os.O_CREAT)
+    try:
+        pairs = [PairSpec("x", fd, "dog", p0.secondary_path, "horn")]
+        with pytest.raises(TypeError, match="audio paths must be strings"):
+            build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 5, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+
+
+def test_build_dataset_accepts_path_objects(tmp_path):
+    p0, = _write_corpus(tmp_path, 1)
+    pairs = [PairSpec("x", Path(p0.primary_path), "dog", Path(p0.secondary_path), "horn")]
+    entries = build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 5, tmp_path / "out")
+    assert not entries[0].failed
 
 
 def test_build_dataset_accepts_numeric_and_dotted_ids(tmp_path):

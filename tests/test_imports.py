@@ -1,6 +1,7 @@
-"""Every name a module of src/morphmix imports is used in that module.
+"""Every name a module of src/morphmix imports is used in that module, and every
+private module-level helper is read somewhere in src/morphmix.
 
-No linter runs on this code, so a deletion can leave a dead import behind.
+No linter runs on this code, so a deletion can leave a dead import or helper behind.
 """
 
 import ast
@@ -34,3 +35,41 @@ MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 @pytest.mark.parametrize("name", MODULES)
 def test_module_uses_every_import(name):
     assert unused_imports((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def dead_helpers(sources):
+    """The private module-level functions, classes and constants (module.name) in
+    sources, a dict of module name to source, that no module reads."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined.update((module, n) for n in names
+                           if n.startswith("_") and not n.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_dead_helpers_finds_an_unread_helper():
+    sources = {"a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\n"
+                    "_LIMIT = 3\n_x, _y = 1, 2\n__all__ = []\n",
+               "b": "from .a import _used as use\nimport a\nuse()\na._x\nprint(_LIMIT)\n"}
+    assert dead_helpers(sources) == ["a._Gone", "a._dead", "a._y"]
+
+
+def test_every_private_helper_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert dead_helpers(sources) == []

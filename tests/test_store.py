@@ -194,9 +194,61 @@ def test_non_finite_gaussian_stats_are_bad_format(tmp_path, rng, bad, row):
         read_gaussian_stats(path)
 
 
+# float32 NaN, +inf and -inf, and a signalling NaN with payload bits
+_NON_FINITE_WORDS = ([struct.pack("<f", x) for x in (np.nan, np.inf, -np.inf)]
+                     + [b"\x01\x00\xa0\x7f"])
+
+
+@st.composite
+def mxeb_blobs(draw):
+    """An MXEB file of small declared T x D (often the shape of an embedding or of
+    stats): random payload words, then, in half the draws, a random truncation (into
+    the header too) or extension. Returns (blob, T, D)."""
+    d = draw(st.integers(0, 4))
+    t = draw(st.one_of(st.just(1), st.just(d + 1), st.integers(0, 5)))
+    word = st.one_of(st.binary(min_size=4, max_size=4), st.sampled_from(_NON_FINITE_WORDS))
+    blob = (store_mod.MAGIC + bytes([store_mod.VERSION]) + struct.pack("<II", t, d)
+            + b"".join(draw(st.lists(word, min_size=t * d, max_size=t * d))))
+    damage = draw(st.sampled_from(["none", "none", "truncate", "extend"]))
+    if damage == "truncate":
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    elif damage == "extend":
+        blob += draw(st.binary(min_size=1, max_size=8))
+    return blob, t, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(mxeb_blobs())
+def test_typed_readers_return_finite_arrays_of_the_declared_shape_or_bad_format(case):
+    blob, t, d = case
+    readers = {
+        read_embedding: lambda e: [(e.values, (d,))],
+        read_latents: lambda m: [(m.data, (t, d))],
+        read_gaussian_stats: lambda s: [(s.mean, (d,)), (s.covariance, (d, d))],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.mxeb"
+        path.write_bytes(blob)
+        for reader, arrays in readers.items():
+            try:
+                result = reader(path)
+            except errors.BadFormat:
+                continue
+            for a, shape in arrays(result):
+                assert a.dtype == np.float64 and a.shape == shape
+                assert np.isfinite(a).all()
+
+
 @pytest.mark.parametrize("index", ["{not json", "", "[1]", '{"other": {}}', '{"entries": ["a"]}'])
 def test_malformed_index_is_bad_format(tmp_path, index):
     (tmp_path / "index.json").write_text(index)
+    with pytest.raises(errors.BadFormat, match="index.json"):
+        EmbeddingStore(tmp_path)
+
+
+def test_index_holding_an_int_past_the_digit_limit_is_bad_format(tmp_path):
+    # json.load raises a plain ValueError here, not a JSONDecodeError
+    (tmp_path / "index.json").write_text('{"entries": {}, "n": ' + "1" * 5000 + "}")
     with pytest.raises(errors.BadFormat, match="index.json"):
         EmbeddingStore(tmp_path)
 
