@@ -157,6 +157,10 @@ def cmd_eval(args):
         if "\r" in args.model_name or "\n" in args.model_name:
             # a report row is one line in both formats
             raise UsageError(f"--model-name must be one line, got {args.model_name!r}")
+        try:
+            args.model_name.encode("utf-8")  # the report is UTF-8 text
+        except UnicodeEncodeError:
+            raise UsageError(f"--model-name must be UTF-8 text, got {args.model_name!r}") from None
     row = evaluate.evaluate_corpus(
         clips, emb_store, reference, params, model_name=args.model_name,
         on_error=lambda cid, e: print(f"excluded {cid}: {e}", file=sys.stderr),

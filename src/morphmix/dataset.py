@@ -149,8 +149,9 @@ def load_pairs(path):
 
 def check_pair_ids(pairs):
     """Raise TypeError for an audio path that is neither a str nor os.PathLike, BadId
-    for a pair id that is not a string or an int, is not one path component or
-    repeats, and EmptyLabel for a label that is not a non-empty string.
+    for a pair id that is not a string or an int, is not one path component, is
+    not UTF-8 text or repeats, and EmptyLabel for a label that is not a non-empty
+    string.
 
     Each id names audio/<id>.wav, so a repeated id would overwrite an
     earlier pair's WAV and a path id would write outside audio/; an int
@@ -164,6 +165,10 @@ def check_pair_ids(pairs):
         if isinstance(pair.id, bool) or not isinstance(pair.id, (str, int)):
             raise BadId(f"pair id {pair.id!r} is not a string or an integer")
         check_id(pair.id)
+        try:
+            str(pair.id).encode("utf-8")  # pair_seed hashes these bytes
+        except UnicodeEncodeError:
+            raise BadId(f"pair id {pair.id!r} is not UTF-8 text") from None
         for label in (pair.primary_label, pair.secondary_label):
             if not (isinstance(label, str) and label):
                 raise EmptyLabel(f"pair {pair.id!r}: label {label!r} is not a non-empty string")

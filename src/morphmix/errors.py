@@ -131,13 +131,19 @@ class BadId(MorphmixError):
 
 
 def check_id(entry_id):
-    """Raise BadId unless str(entry_id), the stem of its file, is one path component.
+    """Raise BadId unless str(entry_id), the stem of its file, is one path component
+    that the file system can encode.
 
-    String tests only: the store calls this on every put.
+    String tests only: the store calls this on every put. The stems of file
+    names that are not UTF-8 (surrogates U+DC80-U+DCFF) encode back to their bytes.
     """
     name = str(entry_id)
     if name in ("", ".", "..") or "/" in name or "\\" in name or "\0" in name:
         raise BadId(f"id {entry_id!r} is not a single path component")
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError:
+        raise BadId(f"id {entry_id!r} cannot name a file") from None
 
 
 def check_fields(record):
@@ -158,7 +164,7 @@ def read_bytes(path):
     try:
         with io.FileIO(path) as f:  # unbuffered: one read of the whole file
             return f.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a path with a NUL or a lone surrogate
         raise IoFailure(f"{path}: {e}") from e
 
 
@@ -174,7 +180,7 @@ def write_atomic(path, *chunks):
             for chunk in chunks:
                 f.write(chunk)
         os.replace(tmp, path)
-    except OSError as e:
-        with contextlib.suppress(OSError):
+    except (OSError, ValueError) as e:  # ValueError: as in read_bytes
+        with contextlib.suppress(OSError, ValueError):
             os.unlink(tmp)
         raise IoFailure(f"{path}: {e}") from e

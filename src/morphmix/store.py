@@ -103,6 +103,8 @@ class EmbeddingStore:
     def __init__(self, root):
         self.root = Path(root)
         self._index = {}
+        # id -> its index.json line; an entry read from disk gets one at the first flush
+        self._lines = {}
         self._batch_depth = 0
         index_path = self.root / self.INDEX
         if index_path.exists():
@@ -143,10 +145,11 @@ class EmbeddingStore:
         if not isinstance(entry_id, str):
             raise BadId(f"store id must be a string, got {entry_id!r}")
         check_id(entry_id)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self._make_root()
         filename = f"{entry_id}.mxeb"
         write_mxeb(self.root / filename, matrix)
         self._index[entry_id] = filename
+        self._lines[entry_id] = _index_line(entry_id, filename)
         if not self._batch_depth:
             self._flush()
 
@@ -161,7 +164,7 @@ class EmbeddingStore:
         writes cover it.
         """
         if not self._batch_depth:
-            self.root.mkdir(parents=True, exist_ok=True)
+            self._make_root()
             self._flush()
         self._batch_depth += 1
         try:
@@ -171,21 +174,32 @@ class EmbeddingStore:
             if not self._batch_depth:
                 self._flush()
 
+    def _make_root(self):
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as e:  # say, a file in its place or on its path
+            raise IoFailure(f"{self.root}: {e}") from e
+
     def _flush(self):
-        """Replace index.json atomically: readers see the old index or the new one."""
-        write_atomic(self.root / self.INDEX, _index_json(self._index).encode("utf-8"))
+        """Replace index.json atomically: readers see the old index or the new one.
+
+        The bytes are json.dumps({"entries": sorted index}, indent=2) plus a
+        newline, joined from each entry's line, so an unbatched put encodes
+        only its own entry.
+        """
+        if len(self._lines) < len(self._index):  # the entries read from disk, once
+            self._lines = {entry_id: _index_line(entry_id, name)
+                           for entry_id, name in self._index.items()}
+        lines = self._lines
+        if not lines:
+            text = '{\n  "entries": {}\n}\n'
+        else:
+            text = ('{\n  "entries": {\n    '
+                    + ",\n    ".join([lines[entry_id] for entry_id in sorted(lines)])
+                    + "\n  }\n}\n")
+        write_atomic(self.root / self.INDEX, text.encode("utf-8"))
 
 
-def _index_json(index):
-    """The bytes of json.dumps({"entries": sorted index}, indent=2) plus a newline.
-
-    json's indent path runs in pure Python. With flat string entries, these
-    separators give the same layout through the C encoder; the time saved
-    pays for the temp file and rename of the atomic write that every
-    unbatched put makes.
-    """
-    entries = dict(sorted(index.items()))
-    if not entries:
-        return '{\n  "entries": {}\n}\n'
-    items = json.dumps(entries, separators=(",\n    ", ": "))[1:-1]
-    return '{\n  "entries": {\n    ' + items + "\n  }\n}\n"
+def _index_line(entry_id, name):
+    """An entry as json.dumps(..., indent=2) writes it, less the indent."""
+    return json.dumps(entry_id) + ": " + json.dumps(name)

@@ -548,6 +548,8 @@ def _pairs_with_ids(tmp_path, wav_pair, ids):
     (["."], "."),
     ([".."], ".."),
     ([5, "5"], "5"),
+    (["\ud800x"], "\ud800x"),  # no file name holds a lone high surrogate
+    (["ok", "\udcffx"], "\udcffx"),  # a file name, but pair_seed hashes UTF-8 text
 ])
 def test_build_rejects_bad_pair_ids_before_any_work(tmp_path, wav_pair, capsys, ids, bad):
     pairs = _pairs_with_ids(tmp_path, wav_pair, ids)
@@ -557,6 +559,37 @@ def test_build_rejects_bad_pair_ids_before_any_work(tmp_path, wav_pair, capsys, 
     assert err.startswith("error: ") and repr(bad) in err
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl", "primary.wav", "secondary.wav"]
+
+
+@pytest.mark.parametrize("name", ["p\0.wav", "p\ud800.wav"])
+def test_build_audio_path_that_cannot_name_a_file_fails_its_pair(tmp_path, name):
+    _write_inputs(tmp_path)
+    _edit(tmp_path / "pairs.jsonl", {"primary_path": str(tmp_path / "in" / name)})
+    # str sinks: the error line names the path, and the real stderr escapes a surrogate
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main([str(a) for a in _argv("build", tmp_path)]) == 1
+    assert out.getvalue() == "0 built, 1 failed\n"
+    assert err.getvalue().startswith("failed p0: IoFailure: ")
+    assert len(err.getvalue().splitlines()) == 1
+    manifest = (tmp_path / "out" / "manifest.jsonl").read_text(encoding="utf-8")
+    assert json.loads(manifest)["error"].startswith("IoFailure: ")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["audio", "manifest.jsonl"]
+    assert list((tmp_path / "out" / "audio").iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+def test_eval_model_name_that_is_not_utf8_writes_no_report(tmp_path, rng, capsys, fmt):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    before = _tree(tmp_path)
+    # a command-line byte that is not UTF-8 reaches Python as a lone surrogate
+    assert main(["eval", str(clips_path), "--store", str(store.root), "--reference",
+                 str(ref_path), "--format", fmt, "--model-name", "ab\udcff",
+                 "--out", str(tmp_path / "r.txt")]) == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error: --model-name must be UTF-8 text")
+    assert cap.out == ""
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("where", ["out_dir", "audio"])
@@ -736,6 +769,8 @@ EXIT_CASES = {
                                   "--model-name must be one line"),
     "model name with a carriage return": ("eval", None, None, ["--model-name", "a\rb"], 2,
                                           "--model-name must be one line"),
+    "model name that is not UTF-8": ("eval", None, None, ["--model-name", "ab\udcff"], 2,
+                                     "--model-name must be UTF-8 text"),
     "nan temperature": ("eval", None, None, ["--temperature", "nan"], 2,
                         "temperature must be finite"),
     "empty augment label": ("augment", None, None, ["--primary-label", ""], 2, "non-empty"),
@@ -746,6 +781,16 @@ EXIT_CASES = {
     "index file name outside the store": ("eval", "store/index.json",
                                           '{"entries": {"c0.audio": "../ref.mxeb"}}', [], 2,
                                           "'../ref.mxeb'"),
+    "index file name with a lone surrogate": ("eval", "store/index.json",
+                                              '{"entries": {"c0.audio": "\\ud800.mxeb"}}', [],
+                                              2, "cannot name a file"),
+    "embed index file name with a lone surrogate": ("embed-mock", "store/index.json",
+                                                    '{"entries": {"a": "\\ud800.mxeb"}}', [],
+                                                    2, "cannot name a file"),
+    "pair id with a lone surrogate": ("build", "pairs.jsonl", {"id": "\ud800x"}, [], 2,
+                                      "cannot name a file"),
+    "pair id that is not UTF-8": ("build", "pairs.jsonl", {"id": "\udcffx"}, [], 2,
+                                  "is not UTF-8 text"),
     "zero-column reference": ("eval", "ref.mxeb", "MXEB\x01" + struct.pack("<II", 1, 0).decode(),
                               [], 2, "stats need D+1 rows"),
     "unwritable store index": ("embed-mock", "store/index.json.tmp", None, [], 1,
@@ -769,7 +814,7 @@ def test_bad_input_exit_code(tmp_path, capsys, case):
 
 
 JSON_TOKENS = [b"null", b"0", b"-1", b"1e400", b"NaN", b"-Infinity", b"[]", b"{}", b'""',
-               b"true", b"2048.5", b'"x"', b"[1]"]
+               b"true", b"2048.5", b'"x"', b"[1]", b'"\\u0000"', b'"\\ud800"', b'"\\udcff"']
 # a JSON string or number, for the "token" edit
 TOKEN = re.compile(rb'"[^"\\]*"|-?[0-9][0-9.eE+-]*')
 EDITS = st.lists(st.tuples(

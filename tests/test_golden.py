@@ -9,12 +9,20 @@ with the digests in tests/golden_digests.json. Float results can move by an ulp 
 versions, so a mismatch names the numpy version the digests were recorded
 with.
 
+The report prints each mean to three places, so a second digest covers the
+values themselves: the repr of every score_clip result and of the EvalRow
+fields on the same eval corpus, each float at full precision.
+
 After a deliberate change to the outputs, record new digests with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites tests/golden_digests.json and prints the values digest to paste
+into EVAL_VALUES_SHA256.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -25,12 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from morphmix import cli
+from morphmix import cli, evaluate, store
+from morphmix.errors import MorphmixError
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "perfbench" / "corpus.py"
 DIGESTS = HERE / "golden_digests.json"
 SEED = 5
+EVAL_VALUES_SHA256 = "b6c87ea3400e03e85a53ba947ac10ceb11dd857225d8ef870c39452a83be21fa"
 
 
 def _load_corpus():
@@ -58,6 +68,14 @@ def _run(root, argv, out_dir=None):
     return run
 
 
+def _eval_inputs(corpus, root):
+    """The 20-clip eval corpus under root/eval, with one clip's latents truncated."""
+    scored = corpus.eval_corpus(SEED, root / "eval", n_clips=20)
+    entry = scored["store"] / "clip00003.latents.mxeb"
+    entry.write_bytes(entry.read_bytes()[:-4])
+    return scored
+
+
 def golden_runs(root):
     """Build the corpus under root and run build, embed-mock and eval over it."""
     corpus = _load_corpus()
@@ -71,9 +89,7 @@ def golden_runs(root):
     clips = corpus.embed_corpus(SEED, root / "embed", n_clips=8)
     (clips["audio_dir"] / "short.wav").write_bytes(
         corpus.encode_wav(np.full((1, 2000), 0.25), "float32"))
-    scored = corpus.eval_corpus(SEED, root / "eval", n_clips=20)
-    entry = scored["store"] / "clip00003.latents.mxeb"
-    entry.write_bytes(entry.read_bytes()[:-4])
+    scored = _eval_inputs(corpus, root)
     eval_args = ["eval", scored["clips"], "--store", scored["store"],
                  "--reference", scored["reference"], "--model-name", "golden"]
     return {
@@ -88,12 +104,35 @@ def golden_runs(root):
     }
 
 
+def eval_values_digest(root):
+    """SHA-256 of the repr of each clip's score_clip result (its audio embedding and
+    scores, or its error's class) and of the EvalRow fields, floats at full precision."""
+    scored = _eval_inputs(_load_corpus(), Path(root))
+    clips = evaluate.load_eval_clips(scored["clips"])
+    emb_store = store.EmbeddingStore(scored["store"])
+    results = []
+    for clip in clips:
+        try:
+            audio, scores = evaluate.score_clip(clip, emb_store)
+        except MorphmixError as e:
+            results.append((clip.clip_id, type(e).__name__))
+            continue
+        results.append((clip.clip_id, audio.values.tolist(),
+                        {key: float(value) for key, value in scores.items()}))
+    row = evaluate.evaluate_corpus(clips, emb_store, store.read_gaussian_stats(scored["reference"]),
+                                   model_name="golden")
+    fields = [float(v) if isinstance(v, float) else v for v in dataclasses.astuple(row)]
+    return _sha(repr((results, fields)).encode())
+
+
 def _record():
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "report").mkdir()
         runs = golden_runs(tmp)
     DIGESTS.write_text(json.dumps({"numpy": np.__version__, "seed": SEED, "runs": runs},
                                   indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f"EVAL_VALUES_SHA256 = {eval_values_digest(tmp)!r}")
 
 
 def test_outputs_match_golden_digests(tmp_path):
@@ -105,6 +144,12 @@ def test_outputs_match_golden_digests(tmp_path):
             f"{name}: outputs differ from the digests recorded with numpy "
             f"{golden['numpy']} (this is numpy {np.__version__})")
     assert sorted(runs) == sorted(golden["runs"])
+
+
+def test_eval_values_match_golden_digest(tmp_path):
+    assert eval_values_digest(tmp_path) == EVAL_VALUES_SHA256, (
+        f"eval values differ from the digest recorded with numpy 2.4.6 "
+        f"(this is numpy {np.__version__})")
 
 
 if __name__ == "__main__":

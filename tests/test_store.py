@@ -124,10 +124,85 @@ def test_store_index_bytes_and_no_temp_file(tmp_path):
         ["a.latents.mxeb", "a.mxeb", "b.mxeb", "index.json"]
 
 
-@given(st.dictionaries(st.text(), st.text(), max_size=8))
-def test_index_json_matches_json_indent(index):
-    expect = json.dumps({"entries": dict(sorted(index.items()))}, indent=2) + "\n"
-    assert store_mod._index_json(index) == expect
+def _names_a_file(name):
+    try:
+        errors.check_id(name)
+    except errors.BadId:
+        return False
+    return True
+
+
+# short enough for a file name; some characters stand for the bytes of a file name
+# that is not UTF-8 (U+DC80-U+DCFF) or need a JSON escape
+_store_ids = st.text(st.one_of(st.characters(), st.sampled_from("\udc80\udcff\x7f\u2028\"")),
+                     max_size=12).filter(_names_a_file)
+_index_steps = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.lists(_store_ids, min_size=1, max_size=3)),
+    st.tuples(st.just("batch"), st.lists(_store_ids, max_size=3)),
+    st.tuples(st.just("reopen"), st.just([])),
+), max_size=8)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.dictionaries(st.text(max_size=12), st.text(max_size=12).filter(_names_a_file),
+                       max_size=6), _index_steps, st.data())
+def test_index_bytes_match_json_indent_after_every_step(entries, steps, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "index.json").write_text(json.dumps({"entries": entries}), encoding="utf-8")
+        store, index, flushed = EmbeddingStore(root), dict(entries), False
+        for kind, ids in steps:
+            again = sorted(filter(_names_a_file, index))
+            if again:  # put some ids again, the ones read from disk among them
+                ids = ids + data.draw(st.lists(st.sampled_from(again), max_size=2))
+            if kind == "reopen":
+                store = EmbeddingStore(root)
+            block = store.batch() if kind == "batch" else contextlib.nullcontext()
+            with block:
+                for entry_id in ids:
+                    store.put(entry_id, np.ones((1, 2)))
+                    index[entry_id] = f"{entry_id}.mxeb"
+            flushed = flushed or kind == "batch" or bool(ids)
+            if flushed:
+                expect = json.dumps({"entries": dict(sorted(index.items()))}, indent=2) + "\n"
+                assert (root / "index.json").read_bytes() == expect.encode("utf-8")
+
+
+def test_unbatched_puts_encode_only_their_own_entry(tmp_path, monkeypatch):
+    encoded = []
+    dumps = json.dumps
+
+    def counting_dumps(obj, *args, **kwargs):
+        encoded.append(len(obj) if isinstance(obj, dict) else 1)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(store_mod.json, "dumps", counting_dumps)
+    store = EmbeddingStore(tmp_path / "store")
+    for i in range(50):
+        store.put(f"clip{i:02d}", np.ones((1, 2)))
+    # one id and one file name per put; re-encoding the whole index on each put
+    # would encode 1 + 2 + ... + 50 = 1,275 entries
+    assert sum(encoded) <= 100
+    monkeypatch.undo()
+    expect = {"entries": {f"clip{i:02d}": f"clip{i:02d}.mxeb" for i in range(50)}}
+    assert (tmp_path / "store" / "index.json").read_text(encoding="utf-8") == \
+        json.dumps(expect, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("under_the_file", [False, True])
+def test_store_root_blocked_by_a_file_is_io_failure(tmp_path, batched, under_the_file):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    store = EmbeddingStore(blocker / "store" if under_the_file else blocker)
+    with pytest.raises(errors.IoFailure, match="file"):
+        if batched:
+            with store.batch():
+                pass
+        else:
+            store.put("a", np.ones((1, 4)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert blocker.read_text() == "x"
 
 
 def test_store_batch_writes_index_on_exit(tmp_path, rng):
@@ -246,6 +321,13 @@ def test_malformed_index_is_bad_format(tmp_path, index):
         EmbeddingStore(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["\\ud800.mxeb", "a\\udfff"])
+def test_index_file_name_that_cannot_name_a_file_is_bad_id(tmp_path, name):
+    (tmp_path / "index.json").write_text('{"entries": {"a": "' + name + '"}}')
+    with pytest.raises(errors.BadId, match="cannot name a file"):
+        EmbeddingStore(tmp_path)
+
+
 def test_index_holding_an_int_past_the_digit_limit_is_bad_format(tmp_path):
     # json.load raises a plain ValueError here, not a JSONDecodeError
     (tmp_path / "index.json").write_text('{"entries": {}, "n": ' + "1" * 5000 + "}")
@@ -260,7 +342,8 @@ def test_zero_column_embedding_is_bad_format(tmp_path):
         read_embedding(path)
 
 
-@pytest.mark.parametrize("bad_id", ["", ".", "..", "a/b", "../escaped", "a\\b", "nul\0", 5, None])
+@pytest.mark.parametrize("bad_id", ["", ".", "..", "a/b", "../escaped", "a\\b", "nul\0", "\ud800",
+                                    "a\udfffb", 5, None])
 def test_store_put_rejects_bad_ids(tmp_path, bad_id):
     root = tmp_path / "store"
     store = EmbeddingStore(root)
@@ -272,7 +355,8 @@ def test_store_put_rejects_bad_ids(tmp_path, bad_id):
     assert EmbeddingStore(root).ids() == ["5"]
 
 
-@pytest.mark.parametrize("good_id", ["a", "clip0.latents", "...", ".hidden", "with space"])
+@pytest.mark.parametrize("good_id", ["a", "clip0.latents", "...", ".hidden", "with space",
+                                     "not utf-8 \udc80\udcff"])
 def test_store_put_accepts_single_component_ids(tmp_path, good_id):
     store = EmbeddingStore(tmp_path / "store")
     store.put(good_id, np.ones((1, 4)))
