@@ -153,9 +153,17 @@ def load_wav(path):
 def _quantize(x, bits, dtype):
     """Clamp to [-1, 1] and round half away from zero to a C-ordered signed int of dtype."""
     scale = float(1 << (bits - 1))
-    x = np.clip(x.astype(np.float64), -1.0, 1.0) * scale
-    q = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-    return np.clip(q, -scale, scale - 1).astype(dtype, order="C")
+    # one float64 copy, rounded in place: floor(|y| + 0.5) with y's sign is
+    # floor(y + 0.5) for y >= 0 and ceil(y - 0.5) below
+    q = x.astype(np.float64, order="C")
+    np.clip(q, -1.0, 1.0, out=q)
+    q *= scale
+    np.abs(q, out=q)
+    q += 0.5
+    np.floor(q, out=q)
+    np.copysign(q, x, out=q)
+    np.clip(q, -scale, scale - 1, out=q)
+    return q.astype(dtype)
 
 
 def save_wav(w, path, bit_depth=32):

@@ -41,6 +41,13 @@ def _require_files(*paths):
             raise UsageError(f"file not found: {path}")
 
 
+def _require_utf8(flag, text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise UsageError(f"{flag} must be UTF-8 text, got {text!r}") from None
+
+
 def _make_dir(path):
     """Create path and its parents; UsageError if a file is in the way."""
     try:
@@ -81,6 +88,9 @@ def cmd_augment(args):
         params = load_config(args)[0]
         mode = AugmentationMode(args.mode)
         caption = dataset.caption_for(mode, args.primary_label, args.secondary_label)
+        # the caption is printed as UTF-8 text, and only after the WAV is written
+        _require_utf8("--primary-label", args.primary_label)
+        _require_utf8("--secondary-label", args.secondary_label)
     primary, secondary = load_wav(args.primary), load_wav(args.secondary)
     if not args.per_channel:
         primary, secondary = to_mono(primary), to_mono(secondary)
@@ -157,10 +167,7 @@ def cmd_eval(args):
         if "\r" in args.model_name or "\n" in args.model_name:
             # a report row is one line in both formats
             raise UsageError(f"--model-name must be one line, got {args.model_name!r}")
-        try:
-            args.model_name.encode("utf-8")  # the report is UTF-8 text
-        except UnicodeEncodeError:
-            raise UsageError(f"--model-name must be UTF-8 text, got {args.model_name!r}") from None
+        _require_utf8("--model-name", args.model_name)  # the report is UTF-8 text
     row = evaluate.evaluate_corpus(
         clips, emb_store, reference, params, model_name=args.model_name,
         on_error=lambda cid, e: print(f"excluded {cid}: {e}", file=sys.stderr),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphmix import metrics
+from morphmix import dsp, metrics
 from morphmix.audio_io import Waveform, load_wav, save_wav
 from morphmix.cli import main
 from morphmix.dsp import AugmentParams
@@ -78,6 +78,24 @@ def test_augment_per_channel_keeps_the_primary_channels(tmp_path, rng, mode, cha
     assert load_wav(out).n_channels == channels[0]
 
 
+@pytest.mark.parametrize("mode", ["spectral", "both"])
+def test_augment_per_channel_stereo_over_mono_at_a_bluestein_length(tmp_path, rng, monkeypatch,
+                                                                    mode):
+    # 12347 is prime: one complex FFT takes both spectra, the mono secondary
+    # broadcast across the primary's channels; the two-rfft output is the reference
+    paths = [tmp_path / "p.wav", tmp_path / "s.wav"]
+    for path, c in zip(paths, (2, 1)):
+        save_wav(random_wave(rng, 12347, channels=c), path)
+    argv = ["augment", *map(str, paths), "--mode", mode, "--per-channel", "--out"]
+    assert main(argv + [str(tmp_path / "one.wav")]) == 0
+    monkeypatch.setattr(dsp, "_is_bluestein_length", lambda n: False)
+    assert main(argv + [str(tmp_path / "two.wav")]) == 0
+    got, old = load_wav(tmp_path / "one.wav").data, load_wav(tmp_path / "two.wav").data
+    assert got.shape == old.shape == (2, 12347)
+    ulp = float(np.spacing(np.max(np.abs(old))))
+    assert np.max(np.abs(got.astype(np.float64) - old)) <= 2 * ulp
+
+
 def _pairs_file(tmp_path, wav_pair, n=4):
     p, s = wav_pair
     path = tmp_path / "pairs.jsonl"
@@ -88,6 +106,25 @@ def _pairs_file(tmp_path, wav_pair, n=4):
                 "secondary_path": str(s), "secondary_label": f"y{i}",
             }) + "\n")
     return path
+
+
+def test_build_reproducible_across_jobs_at_a_bluestein_length(tmp_path, rng):
+    # a prime-length primary, every pair spectral or both; build downmixes both
+    # inputs to mono, so stereo over mono is covered through augment --per-channel
+    for name, n, c in (("primary", 12347, 2), ("secondary", 5000, 1)):
+        save_wav(random_wave(rng, n, channels=c), tmp_path / f"{name}.wav")
+    pairs = _pairs_file(tmp_path, (tmp_path / "primary.wav", tmp_path / "secondary.wav"), n=6)
+    config = tmp_path / "config.json"
+    config.write_text('{"mode_distribution": {"rms": 0.0, "spectral": 0.5, "both": 0.5}}')
+    dirs = [tmp_path / "d1", tmp_path / "d2"]
+    for out, jobs in zip(dirs, ("1", "2")):
+        assert main(["build", str(pairs), "--out-dir", str(out), "--seed", "3",
+                     "--config", str(config), "--jobs", jobs]) == 0
+    manifest = (dirs[0] / "manifest.jsonl").read_text(encoding="utf-8")
+    assert {json.loads(line)["mode"] for line in manifest.splitlines()} == {"spectral", "both"}
+    assert manifest == (dirs[1] / "manifest.jsonl").read_text(encoding="utf-8")
+    for wav in sorted((dirs[0] / "audio").glob("*.wav")):
+        assert wav.read_bytes() == (dirs[1] / "audio" / wav.name).read_bytes()
 
 
 def test_build_reproducible_across_jobs(tmp_path, wav_pair, capsys):
@@ -774,6 +811,11 @@ EXIT_CASES = {
     "nan temperature": ("eval", None, None, ["--temperature", "nan"], 2,
                         "temperature must be finite"),
     "empty augment label": ("augment", None, None, ["--primary-label", ""], 2, "non-empty"),
+    "primary label that is not UTF-8": ("augment", None, None, ["--primary-label", "ab\udcff"],
+                                        2, "--primary-label must be UTF-8 text"),
+    "secondary label that is not UTF-8": ("augment", None, None,
+                                          ["--secondary-label", "ab\udcff"], 2,
+                                          "--secondary-label must be UTF-8 text"),
     "list clip id": ("eval", "clips.jsonl", {"audio_id": ["c0.audio"]}, [], 2,
                      "audio_id must be str"),
     "null index file name": ("eval", "store/index.json", '{"entries": {"c0.audio": null}}', [],

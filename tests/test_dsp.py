@@ -272,26 +272,46 @@ def test_spectral_interpolate_zero_second_input(rng):
     assert full_rms(out) == pytest.approx(0.5 * full_rms(w), rel=0.01)
 
 
+def _rfft_spectra(w1, w2):
+    return (np.fft.rfft(w1.data.astype(np.float64), axis=1),
+            np.fft.rfft(w2.data.astype(np.float64), axis=1))
+
+
+def _complex_spectra(w1, w2):
+    """Both rffts from one FFT of z = x1 + i*x2, through X[-k] = conj X[k] of a real signal."""
+    n = w1.n_samples
+    big = np.fft.fft(w1.data.astype(np.float64) + 1j * w2.data.astype(np.float64), axis=1)
+    k = np.arange(n // 2 + 1)
+    mirror = np.conj(big[:, -k])
+    return (big[:, k] + mirror) / 2, (big[:, k] - mirror) / 2j
+
+
+def _composed(spec1, spec2, n, params):
+    """The public steps after the transforms: channel-pooled magnitudes, the two
+    curves, both spectra scaled by their gains and summed, one irfft, float32."""
+    mag1 = np.abs(spec1).mean(axis=0)
+    mag2 = np.abs(spec2).mean(axis=0)
+    target = spectral_target(mag1, mag2)
+    c1 = eq_curve(target, mag1, params.eq_smooth_window, params.epsilon, fft_size=n)
+    c2 = eq_curve(target, mag2, params.eq_smooth_window, params.epsilon, fft_size=n)
+    summed = spec1 * c1.gains + spec2 * c2.gains
+    return np.fft.irfft(summed, n=n, axis=1).astype(np.float32), c1, c2
+
+
 def test_spectral_interpolate_compositional_oracle(rng):
-    # bit-exact against the public steps: channel-pooled magnitudes, the two
-    # curves, both spectra scaled by their gains and summed, one irfft, float32
+    # bit-exact against the public steps; at the prime length both spectra come
+    # from one complex FFT, elsewhere from one rfft each
     params = AugmentParams(eq_smooth_window=7, epsilon=1e-8)
     for n, channels in ((4096, 1), (4096, 2), (4097, 1), (12347, 2)):  # 12347 is prime
         w1 = random_wave(rng, n, amp=0.4, channels=channels)
         w2 = random_wave(rng, n, amp=0.4, channels=channels)
         got = spectral_interpolate(w1, w2, params)
-        spec1 = np.fft.rfft(w1.data.astype(np.float64), axis=1)
-        spec2 = np.fft.rfft(w2.data.astype(np.float64), axis=1)
-        mag1 = np.abs(spec1).mean(axis=0)
-        mag2 = np.abs(spec2).mean(axis=0)
-        target = spectral_target(mag1, mag2)
-        c1 = eq_curve(target, mag1, 7, 1e-8, fft_size=n)
-        c2 = eq_curve(target, mag2, 7, 1e-8, fft_size=n)
-        summed = spec1 * c1.gains + spec2 * c2.gains
-        expect = np.fft.irfft(summed, n=n, axis=1).astype(np.float32)
+        spectra = _complex_spectra if n == 12347 else _rfft_spectra
+        expect = _composed(*spectra(w1, w2), n, params)[0]
         assert np.array_equal(got.data, expect), (n, channels)
         # the time-domain sum of the two apply_eq outputs rounds each filtered
         # half to float32 first; it stays within a few ulps of the larger peak
+        _, c1, c2 = _composed(*_rfft_spectra(w1, w2), n, params)
         half1 = apply_eq(w1, c1).data.astype(np.float64)
         half2 = apply_eq(w2, c2).data.astype(np.float64)
         peak = max(np.max(np.abs(half1)), np.max(np.abs(half2)))
@@ -299,8 +319,44 @@ def test_spectral_interpolate_compositional_oracle(rng):
         assert np.max(np.abs(got.data - (half1 + half2))) <= 4 * ulp, (n, channels)
 
 
+@pytest.mark.parametrize("n", [4096, 12347])  # two rffts, and one complex FFT
+def test_spectral_interpolate_rejects_more_channels_in_the_second_input(rng, n):
+    with pytest.raises(ValueError, match="2 channels cannot be summed into 1"):
+        spectral_interpolate(random_wave(rng, n), random_wave(rng, n, channels=2))
+
+
+@pytest.mark.parametrize("n,expect", [
+    (48000, False), (240000, False), (576000, False),  # 2-3-5-smooth
+    (4097, False),  # 17 * 241: 241^2 > n, but numpy factors it directly
+    (998, False),  # 2 * 499: 499^2 > n, and 499 is not above 500
+    (253009, False),  # 503^2: 503 is not above the square root
+    (12347, True), (240007, True),  # primes
+    (6054, True),  # 2 * 3 * 1009
+])
+def test_bluestein_length_table(n, expect):
+    assert dsp._is_bluestein_length(n) is expect
+
+
+@pytest.mark.parametrize("n,channels", [
+    (12347, (1, 1)), (12347, (2, 2)), (12347, (2, 1)), (6054, (1, 1)),
+    (240007, (1, 1)),
+])
+def test_spectral_interpolate_one_complex_fft_oracle(rng, n, channels):
+    # exact against the complex composition, and within 2 float32 ulps of the
+    # peak of the two-rfft composition it replaces; a mono w2 is broadcast
+    params = AugmentParams()
+    w1 = random_wave(rng, n, amp=0.4, channels=channels[0])
+    w2 = random_wave(rng, n, amp=0.4, channels=channels[1])
+    got = spectral_interpolate(w1, w2, params)
+    assert np.array_equal(got.data, _composed(*_complex_spectra(w1, w2), n, params)[0])
+    old = _composed(*_rfft_spectra(w1, w2), n, params)[0]
+    assert got.data.shape == old.shape == (channels[0], n)
+    ulp = float(np.spacing(np.max(np.abs(old))))
+    assert np.max(np.abs(got.data.astype(np.float64) - old)) <= 2 * ulp
+
+
 def _count_transforms(monkeypatch):
-    calls = {"rfft": 0, "irfft": 0}
+    calls = {"rfft": 0, "fft": 0, "irfft": 0}
 
     def counted(name):
         original = getattr(np.fft, name)
@@ -318,14 +374,20 @@ def _count_transforms(monkeypatch):
 def test_spectral_interpolate_transforms_each_input_once(rng, monkeypatch):
     calls = _count_transforms(monkeypatch)
     spectral_interpolate(random_wave(rng, 4097, channels=2), random_wave(rng, 4097, channels=2))
-    assert calls == {"rfft": 2, "irfft": 1}
+    assert calls == {"rfft": 2, "fft": 0, "irfft": 1}
+
+
+def test_spectral_interpolate_one_complex_fft_at_a_bluestein_length(rng, monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    spectral_interpolate(random_wave(rng, 12347), random_wave(rng, 12347))  # 12347 is prime
+    assert calls == {"rfft": 0, "fft": 1, "irfft": 1}
 
 
 @pytest.mark.parametrize("mode,expect", [
-    (AugmentationMode.SPECTRAL_ONLY, {"rfft": 2, "irfft": 1}),
-    (AugmentationMode.BOTH, {"rfft": 2, "irfft": 1}),
-    (AugmentationMode.RMS_ONLY, {"rfft": 0, "irfft": 0}),
-    (AugmentationMode.NONE, {"rfft": 0, "irfft": 0}),
+    (AugmentationMode.SPECTRAL_ONLY, {"rfft": 2, "fft": 0, "irfft": 1}),
+    (AugmentationMode.BOTH, {"rfft": 2, "fft": 0, "irfft": 1}),
+    (AugmentationMode.RMS_ONLY, {"rfft": 0, "fft": 0, "irfft": 0}),
+    (AugmentationMode.NONE, {"rfft": 0, "fft": 0, "irfft": 0}),
 ])
 def test_augment_pair_transform_counts_per_mode(rng, monkeypatch, mode, expect):
     # perfbench counts dsp.fft.calls through np.fft.rfft/irfft; this pins that count

@@ -5,9 +5,11 @@ command that fails on its own: a silent pair, a clip too short for latents
 and a truncated store entry. Each command runs through cli.main, and the
 test compares the SHA-256 of every file it writes, of its stdout and of its
 stderr (with the temporary directory's path replaced), and its exit code,
-with the digests in tests/golden_digests.json. Float results can move by an ulp between numpy
-versions, so a mismatch names the numpy version the digests were recorded
-with.
+with the digests in tests/golden_digests.json. A second build run holds two
+pairs whose primaries have a prime length, where spectral_interpolate takes
+both spectra from one complex FFT. Float results can move by an ulp between
+numpy versions, so a mismatch names the numpy version the digests were
+recorded with.
 
 The report prints each mean to three places, so a second digest covers the
 values themselves: the repr of every score_clip result and of the EvalRow
@@ -76,6 +78,41 @@ def _eval_inputs(corpus, root):
     return scored
 
 
+def _bluestein_pairs(corpus, root):
+    """pairs.jsonl of one spectral and one both pair, each primary of a prime length.
+
+    The build corpus's lengths (48,000 and 120,000 samples) never take both
+    spectra from one complex FFT; these pairs do. Their outputs quantize to the
+    same bytes as the two-rfft path's, so the key pins this path's outputs
+    rather than telling the two paths apart. Ids are drawn until build, at
+    seed 3, samples each of the two modes once.
+    """
+    from morphmix import dataset
+
+    root.mkdir(parents=True)
+    ids, k = {}, 0
+    while len(ids) < 2:
+        pid = f"prime{k:03d}"
+        mode = dataset.sample_mode(dataset.pair_rng(3, pid), dataset.ModeDistribution()).value
+        if mode in ("spectral", "both"):
+            ids.setdefault(mode, pid)
+        k += 1
+    lines = []
+    # (samples, channels) of each input: build downmixes both to mono, so the
+    # channels change only the samples; the secondary is looped, then truncated
+    shapes = (((24007, 2), (10000, 1)), ((24029, 1), (30000, 2)))
+    for i, ((mode, pid), shape) in enumerate(zip(sorted(ids.items()), shapes)):
+        rng = corpus.rng_for(SEED, 100 + i)
+        paths = [root / f"{pid}_{role}.wav" for role in ("p", "s")]
+        for path, (n, channels) in zip(paths, shape):
+            path.write_bytes(corpus.encode_wav(corpus.synth(rng, n, channels), "pcm16"))
+        lines.append(json.dumps({"id": pid, "primary_path": str(paths[0]), "primary_label": mode,
+                                 "secondary_path": str(paths[1]), "secondary_label": "prime"}))
+    path = root / "pairs.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def golden_runs(root):
     """Build the corpus under root and run build, embed-mock and eval over it."""
     corpus = _load_corpus()
@@ -95,6 +132,9 @@ def golden_runs(root):
     return {
         "build": _run(root, ["build", built["pairs"], "--out-dir", root / "built",
                              "--jobs", "2", "--seed", "3"], root / "built"),
+        "build bluestein": _run(root, ["build", _bluestein_pairs(corpus, root / "prime"),
+                                       "--out-dir", root / "built prime", "--jobs", "2",
+                                       "--seed", "3"], root / "built prime"),
         "embed-mock": _run(root, ["embed-mock", clips["audio_dir"], "--out-store",
                                   root / "store", "--latents"], root / "store"),
         "eval csv": _run(root, eval_args + ["--format", "csv"]),
