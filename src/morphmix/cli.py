@@ -6,10 +6,13 @@ output to stdout.
 """
 
 import argparse
+import collections
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import dataset, evaluate, metrics, store
@@ -117,6 +120,24 @@ def cmd_build(args):
     return EXIT_FAILURE if failed else EXIT_OK
 
 
+# clips embedded ahead of the one being written: one ahead measured slower, and more
+# only holds more results in memory
+_READ_AHEAD = 2
+
+
+def _embed_clip(wav_path, dim, latent_dim):
+    """A clip's embedding, its latents (None if latent_dim is None) and a TooShort
+    to report once the embedding is stored (or None). Touches no shared state."""
+    w = load_wav(wav_path)
+    lat = short = None
+    if latent_dim is not None:
+        try:
+            lat = metrics.mock_latents(w, dim=latent_dim)
+        except TooShort as e:
+            short = e  # the embedding is still stored
+    return metrics.mock_embed(w, dim=dim, latents=lat), lat, short
+
+
 def cmd_embed_mock(args):
     audio_dir = Path(args.audio_dir)
     with _reading_inputs():
@@ -133,27 +154,34 @@ def cmd_embed_mock(args):
                                  f"store entry {p.stem}.latents")
         _make_dir(Path(args.out_store))
         out = store.EmbeddingStore(args.out_store)
-    failures = 0
+    embed = functools.partial(_embed_clip, dim=args.dim,
+                              latent_dim=args.latent_dim if args.latents else None)
+    failures = written = 0
+    # one worker embeds the next clips while this thread writes and reports each clip
+    # in sorted order: put's file creates and numpy's loops release the GIL, so the
+    # two overlap. The pool stops before batch() writes the index.
     with out.batch():
-        for wav_path in wav_paths:
-            try:
-                w = load_wav(wav_path)
-                lat = short = None
-                if args.latents:
-                    try:
-                        lat = metrics.mock_latents(w, dim=args.latent_dim)
-                    except TooShort as e:
-                        short = e  # the embedding is still stored
-                emb = metrics.mock_embed(w, dim=args.dim, latents=lat)
-                out.put(wav_path.stem, emb.values[None, :])
-                if lat is not None:
-                    out.put(f"{wav_path.stem}.latents", lat.data)
-                if short is not None:
-                    raise short
-            except MorphmixError as e:
-                failures += 1
-                print(f"failed {wav_path.name}: {e}", file=sys.stderr)
-    print(f"{len(out.ids())} entries written")
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            ahead = collections.deque(pool.submit(embed, p) for p in wav_paths[:_READ_AHEAD])
+            for i, wav_path in enumerate(wav_paths):
+                if i + _READ_AHEAD < len(wav_paths):
+                    ahead.append(pool.submit(embed, wav_paths[i + _READ_AHEAD]))
+                try:
+                    emb, lat, short = ahead.popleft().result()
+                    out.put(wav_path.stem, emb.values[None, :])
+                    written += 1
+                    if lat is not None:
+                        out.put(f"{wav_path.stem}.latents", lat.data)
+                        written += 1
+                    if short is not None:
+                        raise short
+                except MorphmixError as e:
+                    failures += 1
+                    print(f"failed {wav_path.name}: {e}", file=sys.stderr)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    print(f"{written} entries written")
     return EXIT_FAILURE if failures else EXIT_OK
 
 

@@ -145,7 +145,8 @@ class EmbeddingStore:
         if not isinstance(entry_id, str):
             raise BadId(f"store id must be a string, got {entry_id!r}")
         check_id(entry_id)
-        self._make_root()
+        if not self._batch_depth:  # batch() made the root on entry
+            self._make_root()
         filename = f"{entry_id}.mxeb"
         write_mxeb(self.root / filename, matrix)
         self._index[entry_id] = filename

@@ -7,6 +7,8 @@ import re
 import struct
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphmix import dsp, metrics
+from morphmix import cli, dsp, metrics
 from morphmix.audio_io import Waveform, load_wav, save_wav
 from morphmix.cli import main
 from morphmix.dsp import AugmentParams
@@ -430,6 +432,95 @@ def test_embed_mock_corrupt_wav(tmp_path, wav_pair, capsys):
     assert "bad.wav" in cap.err
     index = json.loads((tmp_path / "st" / "index.json").read_text())
     assert "good" in index["entries"]
+
+
+
+def test_embed_mock_counts_the_entries_it_writes_into_a_filled_store(tmp_path, rng, capsys):
+    out = tmp_path / "st"
+    for name in ("one", "two"):
+        (tmp_path / name).mkdir()
+        save_wav(random_wave(rng, 9000), tmp_path / name / f"{name}.wav", bit_depth=32)
+    for name, flags, written in (("one", [], 1), ("two", [], 1), ("two", ["--latents"], 2)):
+        assert main(["embed-mock", str(tmp_path / name), "--out-store", str(out)] + flags) == 0
+        assert capsys.readouterr().out == f"{written} entries written\n"
+    assert EmbeddingStore(out).ids() == ["one", "two", "two.latents"]
+
+
+def test_embed_mock_reports_failures_in_sorted_clip_order(tmp_path, rng, capsys):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    out = tmp_path / "st"
+    save_wav(random_wave(rng, 9000), audio_dir / "a.wav", bit_depth=32)
+    (audio_dir / "b.wav").write_bytes(b"not a wav file at all")
+    data = random_wave(rng, 9000).data.copy()
+    data[0, 4500] = np.nan
+    save_wav(Waveform(data, 48000), audio_dir / "c.wav", bit_depth=32)
+    save_wav(random_wave(rng, 9000), audio_dir / "d.wav", bit_depth=32)
+    (out / "d.mxeb").mkdir(parents=True)
+    save_wav(random_wave(rng, 2000), audio_dir / "e.wav", bit_depth=32)  # TooShort for latents
+    save_wav(random_wave(rng, 9000), audio_dir / "f.wav", bit_depth=32)
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(out), "--latents"]) == 1
+    cap = capsys.readouterr()
+    assert cap.err.splitlines() == [
+        f"failed b.wav: {audio_dir / 'b.wav'}: not a RIFF/WAVE file",
+        "failed c.wav: waveform has a non-finite sample",
+        f"failed d.wav: {out / 'd.mxeb'}: Is a directory",
+        "failed e.wav: need at least 3072 samples for 3 frames, got 2000",
+    ]
+    assert cap.out == "5 entries written\n"
+    assert EmbeddingStore(out).ids() == ["a", "a.latents", "e", "f", "f.latents"]
+
+
+def test_embed_mock_loads_at_most_two_clips_ahead_of_its_writes(tmp_path, rng, monkeypatch):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    stems = [f"c{k}" for k in range(6)]
+    for stem in stems:
+        save_wav(random_wave(rng, 9000), audio_dir / f"{stem}.wav", bit_depth=32)
+    log = []  # list.append is atomic, so the worker's loads and this thread's puts interleave safely
+    load, put = cli.load_wav, EmbeddingStore.put
+
+    def logged_load(path):
+        log.append(("load", Path(path).stem))
+        return load(path)
+
+    def logged_put(self, entry_id, matrix):
+        log.append(("put", entry_id))
+        time.sleep(0.01)  # slow writes, so that a worker left unbounded would run ahead
+        return put(self, entry_id, matrix)
+
+    monkeypatch.setattr(cli, "load_wav", logged_load)
+    monkeypatch.setattr(EmbeddingStore, "put", logged_put)
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(tmp_path / "st"),
+                 "--latents"]) == 0
+    assert [e for e in log if e[0] == "load"] == [("load", stem) for stem in stems]
+    assert [e for e in log if e[0] == "put"] == [
+        ("put", entry) for stem in stems for entry in (stem, f"{stem}.latents")]
+    for k in range(len(stems) - 3):
+        assert log.index(("put", stems[k])) < log.index(("load", stems[k + 3])), log
+
+
+def test_embed_mock_error_in_the_worker_stops_it_and_indexes_the_clips_before(
+        tmp_path, rng, monkeypatch):
+    audio_dir = tmp_path / "clips"
+    audio_dir.mkdir()
+    for k in range(5):
+        save_wav(random_wave(rng, 9000), audio_dir / f"c{k}.wav", bit_depth=32)
+    embed, calls = metrics.mock_embed, []
+
+    def failing_embed(w, *args, **kwargs):
+        calls.append(w)
+        if len(calls) == 3:
+            raise RuntimeError("embedder crashed")
+        return embed(w, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "mock_embed", failing_embed)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="embedder crashed"):
+        main(["embed-mock", str(audio_dir), "--out-store", str(tmp_path / "st")])
+    assert threading.active_count() == threads
+    index = json.loads((tmp_path / "st" / "index.json").read_text())
+    assert index["entries"] == {"c0": "c0.mxeb", "c1": "c1.mxeb"}
 
 
 def _wav_at_rate(path, rng, sample_rate):

@@ -205,6 +205,26 @@ def test_store_root_blocked_by_a_file_is_io_failure(tmp_path, batched, under_the
     assert blocker.read_text() == "x"
 
 
+
+def test_store_puts_inside_a_batch_make_no_directory(tmp_path, monkeypatch):
+    made, mkdir = [], Path.mkdir
+
+    def counting_mkdir(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+    root = tmp_path / "store"
+    store = EmbeddingStore(root)
+    with store.batch():
+        for i in range(5):
+            store.put(f"e{i}", np.ones((1, 4)))
+    assert made == [root]  # on entry to the block
+    store.put("unbatched", np.ones((1, 4)))
+    assert made == [root, root]
+    assert EmbeddingStore(root).ids() == ["e0", "e1", "e2", "e3", "e4", "unbatched"]
+
+
 def test_store_batch_writes_index_on_exit(tmp_path, rng):
     root = tmp_path / "store"
     EmbeddingStore(root).put("old", rng.normal(size=(1, 4)))
