@@ -118,9 +118,12 @@ def sample_mode(rng, dist):
     acc = 0.0
     for name, p in dataclasses.asdict(dist).items():
         acc += p
+        if p > 0:
+            last = name
         if u < acc:
             return AugmentationMode(name)
-    return AugmentationMode(name)  # u landed in the final rounding gap: the last field's mode
+    # u landed in the rounding gap above the sum: the last mode that can be drawn
+    return AugmentationMode(last)
 
 
 def caption_for(mode, x, y):
@@ -178,9 +181,7 @@ def check_pair_ids(pairs):
 
 
 def _build_one(pair, dist, window, params, seed, audio_dir):
-    sub_seed = pair_seed(seed, pair.id)
-    rng = np.random.Generator(np.random.PCG64(sub_seed))
-    mode = sample_mode(rng, dist)
+    mode = sample_mode(pair_rng(seed, pair.id), dist)
     caption = caption_for(mode, pair.primary_label, pair.secondary_label)
     # manifest paths are relative to out_dir so reruns into different
     # directories stay byte-identical and the dataset is relocatable
@@ -203,7 +204,7 @@ def _build_one(pair, dist, window, params, seed, audio_dir):
         primary_label=pair.primary_label,
         secondary_label=pair.secondary_label,
         params=params,
-        seed=sub_seed,
+        seed=pair_seed(seed, pair.id),
         error=error,
     )
 

@@ -293,10 +293,12 @@ def augment_pair(primary, secondary, mode, params=AugmentParams()):
 
     The secondary is first looped or truncated to the primary's length, and
     downmixed to mono if it has more channels than the primary. The mode then
-    selects the composition: a plain equal-power mix, RMS anchoring to the
-    primary's envelope, spectral interpolation, or both (spectral first, then
-    RMS anchoring so the output envelope tracks the primary).
+    picks two stages: the secondary's timbre enters through spectral
+    interpolation (spectral, both) or a plain equal-power mix (none, rms), and
+    the result is then RMS-anchored to the primary's envelope (rms, both).
     """
+    if not isinstance(mode, AugmentationMode):
+        raise ValueError(f"unknown mode {mode!r}")
     if primary.sample_rate != secondary.sample_rate:
         raise SampleRateMismatch(
             f"{primary.sample_rate} Hz vs {secondary.sample_rate} Hz; resampling is not performed"
@@ -308,27 +310,19 @@ def augment_pair(primary, secondary, mode, params=AugmentParams()):
     if secondary.n_channels > primary.n_channels:  # the output has the primary's channels
         secondary = to_mono(secondary)
 
-    if mode is AugmentationMode.NONE:
-        out = equal_power_mix(primary, secondary, params.epsilon)
-    elif mode is AugmentationMode.RMS_ONLY:
-        mix = equal_power_mix(primary, secondary, params.epsilon)
-        del secondary  # often a looped copy: free it before the envelope stages
-        env = rms_envelope(primary, params.rms_frame_size, params.rms_hop)
-        out = apply_rms_envelope(env, mix, params.epsilon)
-    elif mode in (AugmentationMode.SPECTRAL_ONLY, AugmentationMode.BOTH):
-        # the power-matched copy replaces the looped one, and is freed once filtered
+    if mode in (AugmentationMode.SPECTRAL_ONLY, AugmentationMode.BOTH):
+        # the power-matched copy replaces the looped one
         secondary = Waveform(
             _match_power(primary, secondary, params.epsilon).astype(np.float32),
             secondary.sample_rate,
         )
         out = spectral_interpolate(primary, secondary, params)
-        del secondary
-        if mode is AugmentationMode.BOTH:
-            env = rms_envelope(primary, params.rms_frame_size, params.rms_hop)
-            out = apply_rms_envelope(env, out, params.epsilon)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+        out = equal_power_mix(primary, secondary, params.epsilon)
+    del secondary  # often a looped copy: free it before the envelope stage
+    if mode in (AugmentationMode.RMS_ONLY, AugmentationMode.BOTH):
+        out = apply_rms_envelope(
+            rms_envelope(primary, params.rms_frame_size, params.rms_hop), out, params.epsilon)
     return peak_normalize(out, params.output_peak)
 
 

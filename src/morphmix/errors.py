@@ -35,7 +35,7 @@ class InvalidWaveform(MorphmixError):
 
 
 class NonFiniteInput(MorphmixError):
-    """Waveform holds a NaN or infinite sample."""
+    """Input holds a NaN or infinite value."""
 
 
 # --- DSP ---

@@ -20,6 +20,7 @@ from .errors import (
     DimMismatch,
     EmptyInput,
     LengthMismatch,
+    NonFiniteInput,
     NonSymmetric,
     SingleClass,
     TooFewFrames,
@@ -194,19 +195,13 @@ def frechet_distance(a, b):
     return max(d2, 0.0)
 
 
-def _ranks(x):
-    """Average-tie ranks, 1-based."""
-    x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _ranks(x, what):
+    """Average-tie ranks, 1-based, of a float64 array; NonFiniteInput for NaN or inf."""
+    if not np.isfinite(x).all():  # they would be ranked as ordinary values
+        raise NonFiniteInput(f"{what} has a NaN or infinite value")
+    _, inv, cnt = np.unique(x, return_inverse=True, return_counts=True)
+    # a tie group ends at rank cumsum(cnt); its mean rank lies (cnt - 1) / 2 below that
+    return (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
 
 
 def spearman_rho(x, y):
@@ -217,8 +212,8 @@ def spearman_rho(x, y):
         raise LengthMismatch(f"lengths differ: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise LengthMismatch("need at least 3 points")
-    rx = _ranks(x)
-    ry = _ranks(y)
+    rx = _ranks(x, "x")
+    ry = _ranks(y, "y")
     sx = rx.std()
     sy = ry.std()
     if sx == 0.0 or sy == 0.0:
@@ -236,7 +231,7 @@ def roc_auc(scores, labels):
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("both classes must be present")
-    ranks = _ranks(scores)
+    ranks = _ranks(scores, "scores")
     u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

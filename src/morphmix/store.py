@@ -27,10 +27,8 @@ VERSION = 1
 def write_mxeb(path, matrix):
     """Write a 2-D float array as an MXEB file; IoFailure if it cannot be written."""
     m = np.asarray(matrix, dtype="<f4")
-    if m.ndim == 1:
-        m = m[np.newaxis, :]
     if m.ndim != 2:
-        raise ValueError(f"expected a 1-D or 2-D array, got ndim={m.ndim}")
+        raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
     t, d = m.shape
     try:
         with open(path, "wb") as f:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -168,6 +169,23 @@ def test_readme_config_example_runs(tmp_path, wav_pair, capsys):
     p, s = wav_pair
     assert main(["augment", str(p), str(s), "--mode", "both", "--out", str(tmp_path / "o.wav"),
                  "--config", str(config)]) == 0
+
+
+def test_readme_names_every_long_flag():
+    # AugmentParams fields become flags, so a new field adds a flag without a README edit
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {opt for p in sub.choices.values() for opt in p._option_string_actions
+             if opt.startswith("--") and opt != "--help"}
+    assert {"--out", "--rms-frame-size", "--latent-dim"} <= flags
+    # "--out" must appear on its own, not only inside "--out-dir"
+    assert sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", readme)) == []
+
+
+@pytest.mark.parametrize("argv,code", [(["build"], 2), (["--help"], 0), (["build", "--help"], 0)])
+def test_argparse_exit_is_an_exit_code(capsys, argv, code):
+    assert main(argv) == code
 
 
 def test_config_window_not_an_object_is_usage_error(tmp_path, wav_pair, capsys):

@@ -3,6 +3,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from morphmix.dataset import (
     load_manifest,
     load_pairs,
     pair_rng,
+    pair_seed,
     sample_mode,
     sample_training_timestep,
 )
@@ -75,6 +77,19 @@ def test_sample_mode_frequencies_three_way():
     observed = [counts[m] for m in list(AugmentationMode)[:3]]
     _, p = scipy_stats.chisquare(observed)
     assert p > 0.001
+
+
+def _fixed_draw(u):
+    """A generator stub whose every draw is u."""
+    return SimpleNamespace(random=lambda: u)
+
+
+def test_sample_mode_rounding_gap_draws_a_mode_that_can_occur():
+    dist = ModeDistribution(0.7, 0.2, 0.1, 0.0)
+    u = 1 - 2**-53  # the largest draw Generator.random returns
+    assert sum(dataclasses.astuple(dist)) <= u  # the probabilities sum below it
+    assert sample_mode(_fixed_draw(u), dist) is AugmentationMode.BOTH
+    assert sample_mode(_fixed_draw(0.95), dist) is AugmentationMode.BOTH
 
 
 def test_sample_mode_deterministic_given_seed():
@@ -326,6 +341,15 @@ def test_pair_rng_stable_across_processes():
     c = pair_rng(9, "clip-2").random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_build_draws_each_mode_from_pair_rng(tmp_path):
+    # perfbench predicts each pair's mode from pair_rng and checks the manifest against it
+    pairs = _write_corpus(tmp_path, 6)
+    entries = build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 8, tmp_path / "out")
+    for pair, entry in zip(pairs, entries):
+        assert entry.mode is sample_mode(pair_rng(8, pair.id), THREE_WAY)
+        assert entry.seed == pair_seed(8, pair.id)
 
 
 @pytest.mark.parametrize("ids", [["p0", "p1", "p0"], ["p0", "../p1"], ["sub/p0"], [""]])

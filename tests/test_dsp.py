@@ -447,6 +447,13 @@ def test_augment_rejects_sample_rate_mismatch(rng):
         augment_pair(a, b, AugmentationMode.NONE)
 
 
+def test_augment_rejects_unknown_mode_before_any_work(rng):
+    a = random_wave(rng, 1000, sr=48000)
+    b = random_wave(rng, 1000, sr=44100)  # a SampleRateMismatch, had the mode been checked later
+    with pytest.raises(ValueError, match="unknown mode 'rms'"):
+        augment_pair(a, b, "rms")
+
+
 def test_augment_deterministic(rng):
     a = random_wave(rng, 8192, amp=0.3)
     b = random_wave(rng, 5000, amp=0.3)

@@ -271,6 +271,42 @@ def test_spearman_errors():
         spearman_rho([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank_statistics_reject_non_finite(bad):
+    with pytest.raises(errors.NonFiniteInput, match="^x has"):
+        spearman_rho([1, 2, bad, 4], [1, 2, 3, 4])
+    with pytest.raises(errors.NonFiniteInput, match="^y has"):
+        spearman_rho([1, 2, 3, 4], [1, bad, 3, 4])
+    with pytest.raises(errors.NonFiniteInput, match="^scores has"):
+        roc_auc([0.1, bad, 0.3, 0.2], [0, 1, 1, 0])
+
+
+def _ranks_by_tie_walk(x):
+    """Average-tie ranks by walking the sorted ties: the reference for metrics._ranks."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(values=st.one_of(st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=60),
+                        st.lists(st.one_of(_finite, st.sampled_from([0.0, -0.0, 1.0])),
+                                 min_size=1, max_size=60)))
+@settings(max_examples=200, deadline=None)
+def test_ranks_match_the_tie_walk_bit_for_bit(values):
+    x = np.array(values, dtype=np.float64)
+    assert metrics._ranks(x, "x").tobytes() == _ranks_by_tie_walk(x).tobytes()
+
+
 def test_roc_auc_cases(rng):
     assert roc_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
     assert roc_auc([0.5] * 10, [1] * 5 + [0] * 5) == 0.5
@@ -305,6 +341,20 @@ def test_mock_embed_distinguishes_noise_from_tone(rng):
     noise = random_wave(rng, 48000, amp=0.5)
     sim = cosine_sim(mock_embed(tone, 64), mock_embed(noise, 64))
     assert sim < 0.99
+
+
+@pytest.mark.parametrize("n", [8, 11, 15])
+def test_mock_embed_clip_under_16_samples_falls_back_to_frame_8_hop_4(rng, logmel_calls, n):
+    emb = mock_embed(random_wave(rng, n))
+    # the 16-sample frame holds no frame of the clip, so it is framed again
+    assert logmel_calls == [(32, 16, 16), (32, 8, 4)]
+    assert np.linalg.norm(emb.values) == pytest.approx(1.0)
+    assert np.ptp(emb.values) > 0
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_mock_embed_clip_under_8_samples_is_constant(rng, n):
+    assert np.array_equal(mock_embed(random_wave(rng, n), dim=64).values, np.full(64, 0.125))
 
 
 def test_mock_latents_shapes_and_determinism(rng):

@@ -41,6 +41,13 @@ def test_mxeb_roundtrip(tmp_path, rng):
     assert np.array_equal(read_mxeb(path), m.astype(np.float64))
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
+def test_write_mxeb_takes_only_a_2d_array(tmp_path, shape):
+    with pytest.raises(ValueError, match="2-D"):
+        write_mxeb(tmp_path / "m.mxeb", np.zeros(shape))
+    assert not (tmp_path / "m.mxeb").exists()
+
+
 def test_embedding_roundtrip(tmp_path, rng):
     path = tmp_path / "e.mxeb"
     e = Embedding(rng.normal(size=12).astype(np.float32))
