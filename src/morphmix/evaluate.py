@@ -88,7 +88,7 @@ def expand_prompts(pairs):
     for pair in pairs:
         for x, y, direction in ((pair.x_label, pair.y_label, "forward"),
                                 (pair.y_label, pair.x_label, "reverse")):
-            text = DEFAULT_PROMPT_TEMPLATE.replace("{X}", x).replace("{Y}", y)
+            text = DEFAULT_PROMPT_TEMPLATE.format(X=x, Y=y)
             prompts.append(InfusionPrompt(x, y, text, direction))
     return prompts
 

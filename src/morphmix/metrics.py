@@ -63,7 +63,7 @@ class LatentMatrix:
 
 @dataclass(frozen=True)
 class GaussianStats:
-    """Mean and covariance summarizing a set of embeddings."""
+    """Mean and covariance (symmetric within 1e-9, stored symmetrized) of embeddings."""
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -72,10 +72,12 @@ class GaussianStats:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64).ravel()
         cov = np.asarray(self.covariance, dtype=np.float64)
-        if cov.shape != (len(mean), len(mean)):
-            raise DimMismatch(f"covariance shape {cov.shape} does not match dim {len(mean)}")
+        if len(mean) < 1 or cov.shape != (len(mean), len(mean)):
+            raise DimMismatch(f"need D >= 1 and a D x D covariance, got D={len(mean)}, {cov.shape}")
+        if not np.allclose(cov, cov.T, atol=1e-9):
+            raise NonSymmetric("covariance not symmetric within 1e-9")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "covariance", 0.5 * (cov + cov.T))
 
     @property
     def dim(self):
@@ -160,7 +162,6 @@ def gaussian_stats(embeddings):
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (len(embeddings) - 1)
-    cov = 0.5 * (cov + cov.T)
     return GaussianStats(mean, cov, count=len(embeddings))
 
 
@@ -171,8 +172,7 @@ def _psd_sqrt(mat):
     negative ones mean the input was not PSD.
     """
     vals, vecs = np.linalg.eigh(mat)
-    vmax = float(vals.max()) if len(vals) else 0.0
-    tol = 1e-10 * max(vmax, 1e-300)
+    tol = 1e-10 * max(float(vals.max()), 1e-300)
     if vals.min() < -tol:
         raise NonSymmetric(f"matrix not PSD: eigenvalue {vals.min():g}")
     vals = np.clip(vals, 0.0, None)
@@ -183,20 +183,18 @@ def frechet_distance(a, b):
     """Fréchet distance between two Gaussians (the FAD formula)."""
     if a.dim != b.dim:
         raise DimMismatch(f"dims differ: {a.dim} vs {b.dim}")
-    for s in (a, b):
-        if not np.allclose(s.covariance, s.covariance.T, atol=1e-9):
-            raise NonSymmetric("covariance not symmetric within 1e-9")
-    sa = 0.5 * (a.covariance + a.covariance.T)
-    sb = 0.5 * (b.covariance + b.covariance.T)
-    root_a = _psd_sqrt(sa)
-    cross = _psd_sqrt(root_a @ sb @ root_a)
+    root_a = _psd_sqrt(a.covariance)
+    cross = _psd_sqrt(root_a @ b.covariance @ root_a)
     diff = a.mean - b.mean
-    d2 = float(diff @ diff + np.trace(sa) + np.trace(sb) - 2.0 * np.trace(cross))
+    d2 = float(diff @ diff + np.trace(a.covariance) + np.trace(b.covariance)
+               - 2.0 * np.trace(cross))
     return max(d2, 0.0)
 
 
 def _ranks(x, what):
-    """Average-tie ranks, 1-based, of a float64 array; NonFiniteInput for NaN or inf."""
+    """Average-tie ranks, 1-based, of a 1-D float64 array; NonFiniteInput for NaN or inf."""
+    if x.ndim != 1:
+        raise LengthMismatch(f"{what} must be 1-D, got shape {x.shape}")
     if not np.isfinite(x).all():  # they would be ranked as ordinary values
         raise NonFiniteInput(f"{what} has a NaN or infinite value")
     _, inv, cnt = np.unique(x, return_inverse=True, return_counts=True)
@@ -209,11 +207,11 @@ def spearman_rho(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
-        raise LengthMismatch(f"lengths differ: {len(x)} vs {len(y)}")
-    if len(x) < 3:
-        raise LengthMismatch("need at least 3 points")
+        raise LengthMismatch(f"shapes differ: {x.shape} vs {y.shape}")
     rx = _ranks(x, "x")
     ry = _ranks(y, "y")
+    if len(x) < 3:
+        raise LengthMismatch("need at least 3 points")
     sx = rx.std()
     sy = ry.std()
     if sx == 0.0 or sy == 0.0:
@@ -226,12 +224,12 @@ def roc_auc(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape:
-        raise LengthMismatch(f"lengths differ: {len(scores)} vs {len(labels)}")
+        raise LengthMismatch(f"shapes differ: {scores.shape} vs {labels.shape}")
+    ranks = _ranks(scores, "scores")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("both classes must be present")
-    ranks = _ranks(scores, "scores")
     u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

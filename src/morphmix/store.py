@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadFormat, BadId, IoFailure, MissingEmbedding, check_id, read_bytes,
-                     write_atomic)
+from .errors import (BadFormat, BadId, IoFailure, MissingEmbedding, NonSymmetric, check_id,
+                     read_bytes, write_atomic)
 from .metrics import Embedding, GaussianStats, LatentMatrix
 
 MAGIC = b"MXEB"
@@ -79,18 +79,20 @@ def write_gaussian_stats(path, stats):
 
 
 def read_gaussian_stats(path):
-    """Read stats written by write_gaussian_stats; the sample count is not stored.
+    """Read stats written by write_gaussian_stats; BadFormat for an asymmetric covariance.
 
-    The MXEB stats layout is D+1 rows of D values (the mean, then the
-    covariance), with no place for the count, and frechet_distance, the only
-    consumer of reference stats, never reads it. The result carries the
-    minimum valid count, 2.
+    The stats layout has no place for the sample count, which frechet_distance,
+    the only consumer of reference stats, never reads; the result carries
+    GaussianStats' default count, 2.
     """
     m = read_mxeb(path)
     t, d = m.shape
     if d < 1 or t != d + 1:
         raise BadFormat(f"{path}: stats need D+1 rows for D >= 1 columns, got {t}x{d}")
-    return GaussianStats(m[0], 0.5 * (m[1:] + m[1:].T), count=2)
+    try:
+        return GaussianStats(m[0], m[1:])
+    except NonSymmetric as e:  # GaussianStats owns the rule; a store read names the file
+        raise BadFormat(f"{path}: {e}") from None
 
 
 class EmbeddingStore:

@@ -675,6 +675,18 @@ def test_eval_clips_line_not_an_object(tmp_path, rng, capsys, line):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_eval_asymmetric_reference_is_usage_error(tmp_path, rng, capsys):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    cov = np.eye(8)
+    cov[0, 1], cov[1, 0] = 5.0, -3.0
+    write_mxeb(ref_path, np.vstack([np.zeros((1, 8)), cov]))
+    assert main(["eval", str(clips_path), "--store", str(store.root),
+                 "--reference", str(ref_path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error: ") and "ref.mxeb" in cap.err
+    assert "not symmetric" in cap.err and cap.out == ""
+
+
 def _pairs_with_ids(tmp_path, wav_pair, ids):
     p, s = wav_pair
     path = tmp_path / "pairs.jsonl"

@@ -472,6 +472,49 @@ def test_augment_output_peak_bounded(rng):
             assert np.max(np.abs(out.data)) <= 0.95 + 1e-6
 
 
+def _enveloped_noise(rng, n, channels, amp, sr=48000):
+    """Uniform noise times 0.6 + 0.35*sin(9 rad/s * t + phase): a slow, known envelope."""
+    t = np.arange(n) / sr
+    env = 0.6 + 0.35 * np.sin(9.0 * t + rng.uniform(0.0, 2.0 * np.pi))
+    return Waveform((rng.uniform(-amp, amp, size=(channels, n)) * env).astype(np.float32), sr)
+
+
+@st.composite
+def augment_cases(draw, min_len=1, modes=tuple(AugmentationMode)):
+    """A primary (enveloped noise), a shorter or longer secondary, a mode and params."""
+    n = draw(st.one_of(st.integers(min_len, 20_000), st.just(12_347)))  # 12,347 is prime
+    m = draw(st.one_of(st.integers(1, n), st.integers(n, 2 * n + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    primary = _enveloped_noise(rng, n, draw(st.sampled_from([1, 2])), draw(st.floats(0.01, 2.0)))
+    secondary = random_wave(rng, m, amp=draw(st.floats(0.01, 2.0)),
+                            channels=draw(st.sampled_from([1, 2])))
+    params = AugmentParams(output_peak=draw(st.floats(0.05, 1.0)))
+    return primary, secondary, draw(st.sampled_from(modes)), params
+
+
+@given(augment_cases())
+@settings(max_examples=60, deadline=None)
+def test_augment_pair_output_contract(case):
+    primary, secondary, mode, params = case
+    out = augment_pair(primary, secondary, mode, params)
+    assert out.data.shape == primary.data.shape and out.data.dtype == np.float32
+    assert np.isfinite(out.data).all()
+    assert np.max(np.abs(out.data)) <= params.output_peak
+
+
+@given(augment_cases(min_len=8192, modes=(AugmentationMode.RMS_ONLY, AugmentationMode.BOTH)))
+@settings(max_examples=30, deadline=None)
+def test_augment_pair_follows_the_primary_envelope(case):
+    primary, secondary, mode, params = case
+    out = augment_pair(primary, secondary, mode, params)
+    target = rms_envelope(primary, params.rms_frame_size, params.rms_hop).frame_rms
+    got = rms_envelope(out, params.rms_frame_size, params.rms_hop).frame_rms
+    mask = (target > 10 * params.epsilon) & (got > 10 * params.epsilon)
+    ratio = got[mask] / target[mask]
+    # peak_normalize applies one gain to every frame; the median ratio is that gain
+    assert np.max(np.abs(ratio / np.median(ratio) - 1.0)) < 0.05
+
+
 @pytest.mark.parametrize("mode", list(AugmentationMode))
 @pytest.mark.parametrize("which", ["primary", "secondary"])
 def test_augment_rejects_non_finite(rng, mode, which):

@@ -47,6 +47,12 @@ def test_expand_counts():
     assert ordered == expect
 
 
+def test_expand_keeps_braces_in_labels_as_written():
+    got = expand_prompts([ConceptPair("dog {Y} bark", "horn {X}")])
+    assert got[0].prompt_text == "behavior of dog {Y} bark with timbre like horn {X}"
+    assert got[1].prompt_text == "behavior of horn {X} with timbre like dog {Y} bark"
+
+
 def test_expand_empty():
     assert expand_prompts([]) == []
 

@@ -29,11 +29,13 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from morphmix import cli, evaluate, store
 from morphmix.errors import MorphmixError
@@ -190,6 +192,19 @@ def test_eval_values_match_golden_digest(tmp_path):
     assert eval_values_digest(tmp_path) == EVAL_VALUES_SHA256, (
         f"eval values differ from the digest recorded with numpy 2.4.6 "
         f"(this is numpy {np.__version__})")
+
+
+def test_numpy_floor_has_the_major_version_the_digests_were_recorded_with():
+    # the byte-identity contract holds for the recorded numpy; a floor of another
+    # major version would admit a numpy the code was never run against
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((HERE.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    floors = [re.fullmatch(r"numpy\s*>=\s*(\d+)(\.\d+)*", dep)
+              for dep in project["project"]["dependencies"]]
+    floors = [m.group(1) for m in floors if m]
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))["numpy"]
+    assert floors == [recorded.split(".")[0]], (
+        f"numpy floor majors {floors} vs digests recorded with numpy {recorded}")
 
 
 if __name__ == "__main__":

@@ -235,9 +235,22 @@ def test_frechet_symmetric_nonnegative(rng):
 
 
 def test_frechet_rejects_asymmetric():
-    bad = GaussianStats([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(errors.NonSymmetric):
+        bad = GaussianStats([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
         frechet_distance(bad, bad)
+
+
+def test_gaussian_stats_need_dim_at_least_one():
+    with pytest.raises(errors.DimMismatch):
+        GaussianStats(np.zeros(0), np.zeros((0, 0)))
+
+
+def test_gaussian_stats_store_the_symmetrized_covariance():
+    # round-off asymmetry passes allclose's rtol and is averaged away exactly once
+    cov = np.array([[2.0, 0.5 + 1e-12], [0.5, 1.0]])
+    stats = GaussianStats([0.0, 0.0], cov)
+    assert np.array_equal(stats.covariance, 0.5 * (cov + cov.T))
+    assert np.array_equal(stats.covariance, stats.covariance.T)
 
 
 # --- rank statistics ---
@@ -318,6 +331,16 @@ def test_roc_auc_cases(rng):
 def test_roc_auc_single_class():
     with pytest.raises(errors.SingleClass):
         roc_auc([0.1, 0.2], [1, 1])
+
+
+@pytest.mark.parametrize("shape", [(3, 2), ()])
+def test_rank_statistics_take_only_1d_input(shape):
+    x = np.arange(float(np.prod(shape))).reshape(shape)
+    labels = (np.arange(x.size) % 2 == 0).reshape(shape)
+    with pytest.raises(errors.LengthMismatch, match="1-D"):
+        spearman_rho(x, -x)
+    with pytest.raises(errors.LengthMismatch, match="1-D"):
+        roc_auc(x, labels)
 
 
 # --- mock embedder ---

@@ -297,6 +297,24 @@ def test_non_finite_gaussian_stats_are_bad_format(tmp_path, rng, bad, row):
 
 
 # float32 NaN, +inf and -inf, and a signalling NaN with payload bits
+def test_asymmetric_gaussian_stats_are_bad_format(tmp_path):
+    path = tmp_path / "ref.mxeb"
+    write_mxeb(path, np.array([[0.0, 0.0], [1.0, 5.0], [-3.0, 1.0]]))
+    with pytest.raises(errors.BadFormat, match="ref.mxeb: covariance not symmetric"):
+        read_gaussian_stats(path)
+
+
+def test_gaussian_stats_asymmetric_by_float32_round_off_still_read(tmp_path):
+    cov = np.array([[2.0, 0.1], [0.1, 1.0]], dtype=np.float32)
+    cov[1, 0] = np.nextafter(cov[0, 1], np.float32(1.0))  # one float32 ulp apart
+    path = tmp_path / "ref.mxeb"
+    write_mxeb(path, np.vstack([np.float32([0.5, -0.5]), cov]))
+    c = cov.astype(np.float64)
+    loaded = read_gaussian_stats(path)
+    assert np.array_equal(loaded.mean, [0.5, -0.5])
+    assert np.array_equal(loaded.covariance, 0.5 * (c + c.T))
+
+
 _NON_FINITE_WORDS = ([struct.pack("<f", x) for x in (np.nan, np.inf, -np.inf)]
                      + [b"\x01\x00\xa0\x7f"])
 
