@@ -63,7 +63,7 @@ class LatentMatrix:
 
 @dataclass(frozen=True)
 class GaussianStats:
-    """Mean and covariance (symmetric within 1e-9, stored symmetrized) of embeddings."""
+    """Finite mean and PSD covariance of embeddings (symmetric within 1e-9, stored symmetrized)."""
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -74,10 +74,17 @@ class GaussianStats:
         cov = np.asarray(self.covariance, dtype=np.float64)
         if len(mean) < 1 or cov.shape != (len(mean), len(mean)):
             raise DimMismatch(f"need D >= 1 and a D x D covariance, got D={len(mean)}, {cov.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise NonFiniteInput("Gaussian stats hold a NaN or infinite value")
         if not np.allclose(cov, cov.T, atol=1e-9):
             raise NonSymmetric("covariance not symmetric within 1e-9")
+        cov = 0.5 * (cov + cov.T)
+        eig = np.linalg.eigvalsh(cov)
+        # MXEB stores float32, whose round-off moves an eigenvalue by <= 2^-24·‖cov‖_F <= D·2^-24·λmax
+        if eig[0] < -len(mean) * 2.0 ** -24 * max(eig[-1], 1e-300):
+            raise NonSymmetric(f"covariance not PSD: eigenvalue {eig[0]:g}")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "covariance", cov)
 
     @property
     def dim(self):
@@ -166,17 +173,9 @@ def gaussian_stats(embeddings):
 
 
 def _psd_sqrt(mat):
-    """Square root of a symmetric PSD matrix via eigendecomposition.
-
-    Eigenvalues slightly negative from roundoff are clipped; materially
-    negative ones mean the input was not PSD.
-    """
+    """Square root of a symmetric PSD matrix via eigendecomposition; round-off negatives clipped."""
     vals, vecs = np.linalg.eigh(mat)
-    tol = 1e-10 * max(float(vals.max()), 1e-300)
-    if vals.min() < -tol:
-        raise NonSymmetric(f"matrix not PSD: eigenvalue {vals.min():g}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
 def frechet_distance(a, b):

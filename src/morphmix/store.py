@@ -79,7 +79,7 @@ def write_gaussian_stats(path, stats):
 
 
 def read_gaussian_stats(path):
-    """Read stats written by write_gaussian_stats; BadFormat for an asymmetric covariance.
+    """Read stats from write_gaussian_stats; BadFormat for a covariance that is not symmetric PSD.
 
     The stats layout has no place for the sample count, which frechet_distance,
     the only consumer of reference stats, never reads; the result carries

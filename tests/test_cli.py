@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphmix import cli, dsp, metrics
+from morphmix import cli, dsp, evaluate, metrics
 from morphmix.audio_io import Waveform, load_wav, save_wav
 from morphmix.cli import main
 from morphmix.dsp import AugmentParams
 from morphmix.metrics import Embedding, gaussian_stats, mock_embed, mock_latents
-from morphmix.store import EmbeddingStore, write_gaussian_stats, write_mxeb
+from morphmix.store import EmbeddingStore, read_gaussian_stats, write_gaussian_stats, write_mxeb
 
 from conftest import per_frame_logmel, random_wave
 
@@ -595,11 +595,11 @@ def test_eval_markdown_escapes_a_pipe_in_the_model_name(tmp_path, rng, capsys):
     assert len(re.split(r"(?<!\\)\|", row)) - 2 == 6
 
 
-def _eval_setup(tmp_path, rng):
+def _eval_setup(tmp_path, rng, n_clips=3):
     store = EmbeddingStore(tmp_path / "store")
     clips = []
     pooled = []
-    for i in range(3):
+    for i in range(n_clips):
         cid = f"c{i}"
         vecs = {k: rng.uniform(0.1, 1.0, 8) for k in ("audio", "tx", "ty", "pi", "pr")}
         for k, v in vecs.items():
@@ -685,6 +685,52 @@ def test_eval_asymmetric_reference_is_usage_error(tmp_path, rng, capsys):
     cap = capsys.readouterr()
     assert cap.err.startswith("error: ") and "ref.mxeb" in cap.err
     assert "not symmetric" in cap.err and cap.out == ""
+
+
+def _write_indefinite_reference(ref_path):
+    cov = np.eye(8)
+    cov[0, 1] = cov[1, 0] = 2.0  # eigenvalues 3 and -1 in the first two dimensions
+    write_mxeb(ref_path, np.vstack([np.zeros((1, 8)), cov]))
+
+
+def _eval_argv(store, clips_path, ref_path, *flags):
+    return ["eval", str(clips_path), "--store", str(store.root), "--reference", str(ref_path),
+            *flags]
+
+
+def test_eval_indefinite_reference_is_usage_error(tmp_path, rng, capsys):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    _write_indefinite_reference(ref_path)
+    assert main(_eval_argv(store, clips_path, ref_path)) == 2
+    cap = capsys.readouterr()
+    assert cap.err.splitlines() == [f"error: {ref_path}: covariance not PSD: eigenvalue -1"]
+    assert cap.out == ""
+
+
+def test_eval_indefinite_reference_fails_before_any_clip_is_scored(tmp_path, rng, capsys):
+    # 12 clips in D = 8 give a full-rank pooled fit, so the FAD arithmetic would see the -1
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng, n_clips=12)
+    _write_indefinite_reference(ref_path)
+    with mock.patch.object(evaluate, "score_clip", wraps=evaluate.score_clip) as score_clip:
+        assert main(_eval_argv(store, clips_path, ref_path)) == 2
+    assert score_clip.call_count == 0
+    cap = capsys.readouterr()
+    assert cap.err.splitlines() == [f"error: {ref_path}: covariance not PSD: eigenvalue -1"]
+    assert cap.out == ""
+
+
+def test_eval_rank_deficient_float32_reference_scores_as_before(tmp_path, rng, capsys):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    # 5 samples in D = 8: rank 4, and float32 round-off leaves eigenvalues just below 0
+    fit = gaussian_stats([Embedding(rng.uniform(0.1, 1.0, 8)) for _ in range(5)])
+    write_gaussian_stats(ref_path, fit)
+    reference = read_gaussian_stats(ref_path)
+    assert np.linalg.eigvalsh(reference.covariance)[0] < 0
+    assert main(_eval_argv(store, clips_path, ref_path, "--format", "csv")) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[-1] == "0.652"
+    row = evaluate.evaluate_corpus(evaluate.load_eval_clips(clips_path), store, reference)
+    # recorded while only _psd_sqrt checked PSD-ness: the read-time rule moves no value
+    assert row.fad.hex() == "0x1.4db69db7a2c82p-1"
 
 
 def _pairs_with_ids(tmp_path, wav_pair, ids):

@@ -253,6 +253,36 @@ def test_gaussian_stats_store_the_symmetrized_covariance():
     assert np.array_equal(stats.covariance, stats.covariance.T)
 
 
+@pytest.mark.parametrize("mean,cov", [
+    ([np.nan, 0.0], np.eye(2)),
+    ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+    ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+], ids=["nan-mean", "nan-covariance", "inf-diagonal"])
+def test_gaussian_stats_reject_non_finite_values(mean, cov):
+    with pytest.raises(errors.NonFiniteInput):
+        GaussianStats(mean, cov)
+
+
+def test_gaussian_stats_reject_an_indefinite_covariance():
+    cov = np.eye(3)
+    cov[0, 1] = cov[1, 0] = 2.0
+    with pytest.raises(errors.NonSymmetric, match="covariance not PSD: eigenvalue -1"):
+        GaussianStats(np.zeros(3), cov)
+
+
+def test_gaussian_stats_psd_tolerance_is_d_float32_roundings_of_lambda_max():
+    d = 4
+    vecs = np.linalg.qr(np.random.default_rng(3).normal(size=(d, d)))[0]
+    tol = d * 2.0 ** -24
+    for lam_min, ok in ((-0.5 * tol, True), (-2.0 * tol, False)):
+        cov = (vecs * [lam_min, 0.2, 0.5, 1.0]) @ vecs.T
+        if ok:
+            GaussianStats(np.zeros(d), cov)
+        else:
+            with pytest.raises(errors.NonSymmetric, match="not PSD"):
+                GaussianStats(np.zeros(d), cov)
+
+
 # --- rank statistics ---
 
 def test_spearman_monotone_cases():

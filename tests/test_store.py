@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphmix import errors, store as store_mod
-from morphmix.metrics import Embedding, GaussianStats, gaussian_stats
+from morphmix.metrics import Embedding, GaussianStats, frechet_distance, gaussian_stats
 from morphmix.store import (
     EmbeddingStore,
     read_embedding,
@@ -313,6 +313,35 @@ def test_gaussian_stats_asymmetric_by_float32_round_off_still_read(tmp_path):
     loaded = read_gaussian_stats(path)
     assert np.array_equal(loaded.mean, [0.5, -0.5])
     assert np.array_equal(loaded.covariance, 0.5 * (c + c.T))
+
+
+def _fit(rng, n, d):
+    """Stats of n samples in d dimensions whose scales span 4 decades."""
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2.0, 2.0, d)
+    return gaussian_stats([Embedding(row) for row in x])
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 64), below=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       negative=st.floats(1e-3, 1.0))
+def test_stored_reference_stats_read_unless_an_eigenvalue_is_materially_negative(
+        d, below, seed, negative):
+    rng = np.random.default_rng(seed)
+    # fewer samples than D leave a rank-deficient fit, whose zero eigenvalues
+    # float32 round-off can push just below 0
+    n = int(rng.integers(2, d)) if below and d > 2 else int(rng.integers(d + 1, 2 * d + 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ref.mxeb"
+        write_gaussian_stats(path, _fit(rng, n, d))
+        reference = read_gaussian_stats(path)
+        fad = frechet_distance(_fit(rng, int(rng.integers(2, 2 * d + 3)), d), reference)
+        assert np.isfinite(fad) and fad >= 0.0
+        vals, vecs = np.linalg.eigh(reference.covariance)
+        vals[0] = -negative * vals[-1]
+        cov = (vecs * vals) @ vecs.T
+        write_mxeb(path, np.vstack([reference.mean, 0.5 * (cov + cov.T)]))
+        with pytest.raises(errors.BadFormat, match="ref.mxeb: covariance not PSD"):
+            read_gaussian_stats(path)
 
 
 _NON_FINITE_WORDS = ([struct.pack("<f", x) for x in (np.nan, np.inf, -np.inf)]
