@@ -189,6 +189,8 @@ def cmd_eval(args):
     with _reading_inputs():
         _require_files(args.clips, args.reference)
         clips = evaluate.load_eval_clips(args.clips)
+        if not Path(args.store).is_dir():  # a missing store is not an empty one
+            raise UsageError(f"not a directory: {args.store}")
         emb_store = store.EmbeddingStore(args.store)
         reference = store.read_gaussian_stats(args.reference)
         params = metrics.DirectionalityParams(temperature=args.temperature)

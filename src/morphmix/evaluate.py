@@ -108,16 +108,13 @@ def load_eval_clips(path):
     return [EvalClip.from_dict(d) for d in read_jsonl(path)]
 
 
-def score_clip(clip, store, params=DirectionalityParams(), shared=None):
+def score_clip(clip, store, params=DirectionalityParams(), *, shared):
     """The clip's audio embedding and its four per-clip metrics; raises on missing data.
 
-    shared reads the text and prompt embeddings, store.embedding by default.
-    Many clips name the same concept texts and prompts, so evaluate_corpus
-    passes one memo of store.embedding for all its clips. The audio embedding
-    and latents are read per clip.
+    shared reads the text and prompt embeddings, which many clips share, so
+    evaluate_corpus passes one memo of store.embedding for all its clips. The
+    audio embedding and latents are read per clip.
     """
-    if shared is None:
-        shared = store.embedding
     audio = store.embedding(clip.audio_id)
     latents = store.latents(clip.latents_id)
     sim_x = cosine_sim(audio, shared(clip.text_x_id))

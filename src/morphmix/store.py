@@ -5,8 +5,8 @@ uint32-le column count D, then T*D float32-le values row-major. A single
 embedding is stored with T = 1; Gaussian statistics use T = D+1 rows
 (row 0 the mean, rows 1..D the covariance).
 
-read_mxeb is the one place that checks a payload: exactly T*D finite
-float32 values, or BadFormat. The typed readers check only the shape.
+read_mxeb checks only the framing: magic, version and exactly T*D float32 values.
+Each typed reader's record checks the values; any fault is BadFormat naming the file.
 """
 
 import contextlib
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadFormat, BadId, IoFailure, MissingEmbedding, NonSymmetric, check_id,
+from .errors import (BadFormat, BadId, IoFailure, MissingEmbedding, MorphmixError, check_id,
                      read_bytes, write_atomic)
 from .metrics import Embedding, GaussianStats, LatentMatrix
 
@@ -41,7 +41,7 @@ def write_mxeb(path, matrix):
 
 
 def read_mxeb(path):
-    """Read an MXEB file into a float64 (T, D) array; IoFailure if it cannot be read."""
+    """An MXEB file's unchecked values as float64 (T, D); IoFailure, or BadFormat if mis-framed."""
     raw = read_bytes(path)
     if len(raw) < 13 or raw[:4] != MAGIC:
         raise BadFormat(f"{path}: bad magic")
@@ -53,9 +53,15 @@ def read_mxeb(path):
     if have != size:
         raise BadFormat(f"{path}: expected {size} payload bytes, got {have}")
     values = np.frombuffer(raw, dtype="<f4", offset=13)
-    if not np.isfinite(values).all():
-        raise BadFormat(f"{path}: payload holds a NaN or infinite value")
-    return values.astype(np.float64).reshape(t, d)
+    with np.errstate(invalid="ignore"):  # a signalling NaN stays a NaN, for the record to reject
+        return values.astype(np.float64).reshape(t, d)
+
+
+def _record(path, make, *arrays):
+    try:
+        return make(*arrays)
+    except (ValueError, MorphmixError) as e:  # the record owns its rules; a read names the file
+        raise BadFormat(f"{path}: {e}") from None
 
 
 def write_embedding(path, emb):
@@ -64,14 +70,13 @@ def write_embedding(path, emb):
 
 def read_embedding(path):
     m = read_mxeb(path)
-    t, d = m.shape
-    if t != 1 or d < 1:
-        raise BadFormat(f"{path}: an embedding needs 1 row of D >= 1 columns, got {t}x{d}")
-    return Embedding(m[0])
+    if len(m) != 1:  # Embedding flattens its input, so only the reader sees rows
+        raise BadFormat(f"{path}: an embedding needs 1 row, got {len(m)}")
+    return _record(path, Embedding, m[0])
 
 
 def read_latents(path):
-    return LatentMatrix(read_mxeb(path))
+    return _record(path, LatentMatrix, read_mxeb(path))
 
 
 def write_gaussian_stats(path, stats):
@@ -79,20 +84,14 @@ def write_gaussian_stats(path, stats):
 
 
 def read_gaussian_stats(path):
-    """Read stats from write_gaussian_stats; BadFormat for a covariance that is not symmetric PSD.
+    """Read stats from write_gaussian_stats; BadFormat for stats that GaussianStats rejects.
 
     The stats layout has no place for the sample count, which frechet_distance,
     the only consumer of reference stats, never reads; the result carries
     GaussianStats' default count, 2.
     """
     m = read_mxeb(path)
-    t, d = m.shape
-    if d < 1 or t != d + 1:
-        raise BadFormat(f"{path}: stats need D+1 rows for D >= 1 columns, got {t}x{d}")
-    try:
-        return GaussianStats(m[0], m[1:])
-    except NonSymmetric as e:  # GaussianStats owns the rule; a store read names the file
-        raise BadFormat(f"{path}: {e}") from None
+    return _record(path, GaussianStats, m[:1], m[1:])
 
 
 class EmbeddingStore:

@@ -852,6 +852,24 @@ def test_eval_malformed_store_index(tmp_path, rng, capsys):
     assert cap.err.startswith("error: ") and cap.out == ""
 
 
+@pytest.mark.parametrize("kind", ["missing", "file", "empty directory"])
+def test_eval_store_that_is_not_a_directory_is_usage_error(tmp_path, rng, capsys, kind):
+    _, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store_path = tmp_path / "other"
+    if kind == "file":
+        store_path.write_text("a file")
+    elif kind == "empty directory":
+        store_path.mkdir()
+    code = main(["eval", str(clips_path), "--store", str(store_path),
+                 "--reference", str(ref_path)])
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    if kind == "empty directory":  # a valid store that holds none of the clips' entries
+        assert (code, cap.err) == (1, "error: clip 'c0': no store entry for id 'c0.audio'\n")
+    else:
+        assert (code, cap.err) == (2, f"error: not a directory: {store_path}\n")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eval_non_finite_reference_is_usage_error(tmp_path, rng, capsys, bad):
     store, clips_path, ref_path = _eval_setup(tmp_path, rng)
@@ -1001,7 +1019,7 @@ EXIT_CASES = {
     "pair id that is not UTF-8": ("build", "pairs.jsonl", {"id": "\udcffx"}, [], 2,
                                   "is not UTF-8 text"),
     "zero-column reference": ("eval", "ref.mxeb", "MXEB\x01" + struct.pack("<II", 1, 0).decode(),
-                              [], 2, "stats need D+1 rows"),
+                              [], 2, "need D >= 1 and a D x D covariance"),
     "unwritable store index": ("embed-mock", "store/index.json.tmp", None, [], 1,
                                "index.json"),
 }

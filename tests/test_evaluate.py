@@ -215,8 +215,8 @@ def test_evaluate_shared_reads_match_per_clip_scoring(tmp_path, rng):
     store, clips = _populate_shared(tmp_path, rng, 6)
     reference = gaussian_stats([Embedding(rng.normal(size=8)) for _ in range(5)])
     row = evaluate_corpus(clips, store, reference)
-    # score_clip without a shared dict reads every entry itself
-    scores = [score_clip(c, store)[1] for c in clips]
+    # score_clip given store.embedding itself reads every entry
+    scores = [score_clip(c, store, shared=store.embedding)[1] for c in clips]
     for key in ("lcs", "correspondence", "intermediateness", "directionality"):
         assert getattr(row, key) == sum(s[key] for s in scores) / len(scores)
 

@@ -155,7 +155,7 @@ def eval_values_digest(root):
     results = []
     for clip in clips:
         try:
-            audio, scores = evaluate.score_clip(clip, emb_store)
+            audio, scores = evaluate.score_clip(clip, emb_store, shared=emb_store.embedding)
         except MorphmixError as e:
             results.append((clip.clip_id, type(e).__name__))
             continue

@@ -2,6 +2,7 @@ import contextlib
 import json
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,15 +274,30 @@ def test_read_mxeb_unreadable_path_is_io_failure(tmp_path):
         read_mxeb(tmp_path)  # a directory
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+# float32 NaN, +inf and -inf, and a signalling NaN with payload bits
+_NON_FINITE_WORDS = ([struct.pack("<f", x) for x in (np.nan, np.inf, -np.inf)]
+                     + [b"\x01\x00\xa0\x7f"])
+
+
+def _mxeb_bytes(t, d, words):
+    return store_mod.MAGIC + bytes([store_mod.VERSION]) + struct.pack("<II", t, d) + b"".join(words)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE_WORDS, ids=["nan", "inf", "-inf", "snan"])
 def test_non_finite_payload_is_bad_format(tmp_path, bad):
-    emb_path, lat_path = tmp_path / "e.mxeb", tmp_path / "l.mxeb"
-    write_mxeb(emb_path, np.array([[1.0, bad, 2.0]]))
-    write_mxeb(lat_path, np.array([[1.0, 2.0], [bad, 3.0]]))
-    with pytest.raises(errors.BadFormat, match="e.mxeb"):
-        read_embedding(emb_path)
-    with pytest.raises(errors.BadFormat, match="l.mxeb"):
-        read_latents(lat_path)
+    one, two, three = (struct.pack("<f", x) for x in (1.0, 2.0, 3.0))
+    files = {
+        read_embedding: _mxeb_bytes(1, 3, [one, bad, two]),
+        read_latents: _mxeb_bytes(2, 2, [one, two, bad, three]),
+        read_gaussian_stats: _mxeb_bytes(2, 1, [bad, one]),
+    }
+    for reader, blob in files.items():
+        path = tmp_path / f"{reader.__name__}.mxeb"
+        path.write_bytes(blob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a cast of the signalling NaN must not warn
+            with pytest.raises(errors.BadFormat, match=path.name):
+                reader(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -296,7 +312,6 @@ def test_non_finite_gaussian_stats_are_bad_format(tmp_path, rng, bad, row):
         read_gaussian_stats(path)
 
 
-# float32 NaN, +inf and -inf, and a signalling NaN with payload bits
 def test_asymmetric_gaussian_stats_are_bad_format(tmp_path):
     path = tmp_path / "ref.mxeb"
     write_mxeb(path, np.array([[0.0, 0.0], [1.0, 5.0], [-3.0, 1.0]]))
@@ -344,10 +359,6 @@ def test_stored_reference_stats_read_unless_an_eigenvalue_is_materially_negative
             read_gaussian_stats(path)
 
 
-_NON_FINITE_WORDS = ([struct.pack("<f", x) for x in (np.nan, np.inf, -np.inf)]
-                     + [b"\x01\x00\xa0\x7f"])
-
-
 @st.composite
 def mxeb_blobs(draw):
     """An MXEB file of small declared T x D (often the shape of an embedding or of
@@ -356,8 +367,7 @@ def mxeb_blobs(draw):
     d = draw(st.integers(0, 4))
     t = draw(st.one_of(st.just(1), st.just(d + 1), st.integers(0, 5)))
     word = st.one_of(st.binary(min_size=4, max_size=4), st.sampled_from(_NON_FINITE_WORDS))
-    blob = (store_mod.MAGIC + bytes([store_mod.VERSION]) + struct.pack("<II", t, d)
-            + b"".join(draw(st.lists(word, min_size=t * d, max_size=t * d))))
+    blob = _mxeb_bytes(t, d, draw(st.lists(word, min_size=t * d, max_size=t * d)))
     damage = draw(st.sampled_from(["none", "none", "truncate", "extend"]))
     if damage == "truncate":
         blob = blob[:draw(st.integers(0, len(blob) - 1))]
