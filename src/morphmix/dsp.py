@@ -107,24 +107,24 @@ def loop_or_truncate(w, target_len):
 def equal_power_mix(primary, secondary, epsilon=1e-8):
     """Sum primary with secondary rescaled to the primary's full-clip RMS (0 dB SNR)."""
     _check_compatible(primary, secondary)
+    matched = np.multiply(secondary.data, _power_gain(primary, secondary, epsilon),
+                          dtype=np.float64)
     # the float64 sum is rounded straight into the float32 result, which takes
     # the broadcast shape of a mono and a stereo input
     mixed = np.empty(np.broadcast_shapes(primary.data.shape, secondary.data.shape), np.float32)
-    np.add(primary.data, _match_power(primary, secondary, epsilon), out=mixed, dtype=np.float64)
+    np.add(primary.data, matched, out=mixed, dtype=np.float64)
     return Waveform(mixed, primary.sample_rate)
 
 
-def _match_power(primary, secondary, epsilon):
-    """The secondary's samples in float64, scaled to the primary's full-clip RMS."""
+def _power_gain(primary, secondary, epsilon):
+    """The gain that brings the secondary to the primary's full-clip RMS."""
     rp = full_rms(primary)
     rs = full_rms(secondary)
     if rp < epsilon:
         raise SilentPrimary(f"primary RMS {rp:g} below epsilon {epsilon:g}")
     if rs < epsilon:
         raise SilentSecondary(f"secondary RMS {rs:g} below epsilon {epsilon:g}")
-    matched = secondary.data.astype(np.float64)
-    matched *= rp / rs
-    return matched
+    return rp / rs
 
 
 def rms_envelope(w, frame_size, hop):
@@ -306,16 +306,16 @@ def augment_pair(primary, secondary, mode, params=AugmentParams()):
     # one NaN would spread through every mix, envelope and FFT bin of the output
     require_finite(primary, "primary")
     require_finite(secondary, "secondary")
+    if primary.n_samples < 1:  # there is no length to loop the secondary to
+        raise EmptyInput("the primary has no samples")
     secondary = loop_or_truncate(secondary, primary.n_samples)
     if secondary.n_channels > primary.n_channels:  # the output has the primary's channels
         secondary = to_mono(secondary)
 
     if mode in (AugmentationMode.SPECTRAL_ONLY, AugmentationMode.BOTH):
         # the power-matched copy replaces the looped one
-        secondary = Waveform(
-            _match_power(primary, secondary, params.epsilon).astype(np.float32),
-            secondary.sample_rate,
-        )
+        gain = _power_gain(primary, secondary, params.epsilon)
+        secondary = Waveform(_scaled(secondary.data, gain), secondary.sample_rate)
         out = spectral_interpolate(primary, secondary, params)
     else:
         out = equal_power_mix(primary, secondary, params.epsilon)

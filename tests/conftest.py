@@ -1,8 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from morphmix import metrics
 from morphmix.audio_io import Waveform, to_mono
+
+
+def run_python(code):
+    """The stdout of code run by a fresh interpreter that imports morphmix from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 def make_wave(samples, sr=48000):

@@ -575,6 +575,45 @@ def test_augment_sample_rate_past_the_header_is_an_error_line(tmp_path, rng, cap
     assert not out.exists() and not (tmp_path / "o.wav.tmp").exists()
 
 
+def _float_wav(path, frames):
+    """A float32 WAV of frames, a list of equal-length sample tuples; save_wav
+    refuses an empty waveform, so this writes the bytes itself."""
+    channels = len(frames[0]) if frames else 1
+    payload = np.asarray(frames, dtype="<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, channels, 48000, 48000 * 4 * channels, 4 * channels, 32)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def test_augment_empty_primary_is_an_error_line(tmp_path, wav_pair, capsys):
+    p = tmp_path / "empty.wav"
+    _float_wav(p, [])
+    out = tmp_path / "o.wav"
+    assert main(["augment", str(p), str(wav_pair[1]), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the primary has no samples\n"
+    assert not out.exists()
+
+
+def test_build_empty_primary_fails_its_pair(tmp_path, wav_pair, capsys):
+    empty = tmp_path / "empty.wav"
+    _float_wav(empty, [])
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps({
+        "id": pid, "primary_path": str(p), "primary_label": "x",
+        "secondary_path": str(wav_pair[1]), "secondary_label": "y",
+    }) + "\n" for pid, p in (("empty", empty), ("ok", wav_pair[0]))))
+    out = tmp_path / "out"
+    assert main(["build", str(pairs), "--out-dir", str(out)]) == 1
+    cap = capsys.readouterr()
+    assert "1 built, 1 failed" in cap.out
+    assert cap.err == "failed empty: EmptyInput: the primary has no samples\n"
+    entries = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+    assert [e["error"] for e in entries] == ["EmptyInput: the primary has no samples", ""]
+    assert [p.name for p in (out / "audio").iterdir()] == ["ok.wav"]
+
+
 @pytest.mark.parametrize("name", ["base, v2", 'say "hi"'])
 def test_eval_csv_quotes_the_model_name(tmp_path, rng, capsys, name):
     store, clips_path, ref_path = _eval_setup(tmp_path, rng)
@@ -1086,3 +1125,33 @@ def test_mutated_input_ends_in_an_exit_code(target, edits):
             for command in READERS[target]:
                 code = main([str(a) for a in _argv(command, root)])
                 assert code in (0, 1, 2), (command, sink.getvalue())
+
+
+# full-scale float samples, subnormals and zeros included; 0 frames is an empty data chunk
+TINY_WAV = st.integers(1, 2).flatmap(lambda channels: st.lists(
+    st.tuples(*[st.floats(-1, 1, width=32)] * channels), max_size=20))
+
+
+@settings(max_examples=40, deadline=None)
+@given(primary=TINY_WAV, secondary=TINY_WAV)
+def test_tiny_inputs_end_in_an_exit_code(primary, secondary):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        p, s = root / "p.wav", root / "s.wav"
+        _float_wav(p, primary)
+        _float_wav(s, secondary)
+        pairs = _pairs_file(root, (p, s), n=2)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for mode in ("none", "rms", "spectral", "both"):
+                for flags in ([], ["--per-channel"]):
+                    code = main(["augment", str(p), str(s), "--mode", mode,
+                                 "--out", str(root / "o.wav"), *flags])
+                    assert code in (0, 1, 2), (mode, flags, sink.getvalue())
+                config = root / "config.json"
+                config.write_text(json.dumps({"mode_distribution": {
+                    m: float(m == mode) for m in ("rms", "spectral", "both", "none")}}))
+                out = root / "out"
+                code = main(["build", str(pairs), "--out-dir", str(out), "--config", str(config)])
+                assert code in (0, 1, 2), (mode, sink.getvalue())
+                assert len((out / "manifest.jsonl").read_text().splitlines()) == 2

@@ -433,11 +433,20 @@ def test_augment_both_compositional_oracle(rng):
     secondary = random_wave(rng, 10000, amp=0.25)
     got = augment_pair(primary, secondary, AugmentationMode.BOTH, params)
     sec = loop_or_truncate(secondary, 16384)
-    sec = Waveform(dsp._match_power(primary, sec, params.epsilon).astype(np.float32), 48000)
+    # power-matched in float64 and rounded once
+    gain = dsp.full_rms(primary) / dsp.full_rms(sec)
+    sec = Waveform((sec.data.astype(np.float64) * gain).astype(np.float32), 48000)
     comp = spectral_interpolate(primary, sec, params)
     env = rms_envelope(primary, params.rms_frame_size, params.rms_hop)
     expect = dsp.peak_normalize(apply_rms_envelope(env, comp, params.epsilon), params.output_peak)
-    assert np.allclose(got.data, expect.data, atol=1e-7)
+    assert np.array_equal(got.data, expect.data)
+
+
+@pytest.mark.parametrize("mode", list(AugmentationMode))
+def test_augment_empty_primary_is_empty_input(rng, mode):
+    empty = Waveform(np.zeros((1, 0), dtype=np.float32), 48000)
+    with pytest.raises(errors.EmptyInput, match="primary has no samples"):
+        augment_pair(empty, random_wave(rng, 1000), mode)
 
 
 def test_augment_rejects_sample_rate_mismatch(rng):

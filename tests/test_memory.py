@@ -4,10 +4,12 @@ tracemalloc counts every numpy data allocation, so each peak is the same on
 every run and the bounds can sit just above the measured values. The bounds
 hold the working set that `build` needs per worker thread: an extra copy of
 the signal in any stage moves its peak by at least one unit (a float64 copy
-by two) and fails here.
+by two) and fails here. One test reads peak RSS in MB instead, for the FFT
+scratch that tracemalloc does not see.
 """
 
 import gc
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,8 @@ import pytest
 
 from morphmix.audio_io import Waveform, load_wav, save_wav
 from morphmix.dsp import AugmentationMode, augment_pair
+
+from conftest import run_python
 
 N = 120_000  # 2.5 s at 48 kHz: large enough that the fixed costs are under 0.1 unit
 
@@ -60,6 +64,31 @@ def test_augment_pair_peak_at_a_bluestein_length(rng, mode):
     secondary = Waveform(_noise(rng, 50_000), 48000)
     units = _peak_units(lambda: augment_pair(primary, secondary, mode), primary.data.nbytes)
     assert units < 11.5
+
+
+# tracemalloc does not see the scratch that pocketfft allocates itself, most of the
+# peak at a Bluestein length, so this reads the peak RSS that one spectral pair
+# adds in a fresh process after a 1 s warm-up pair
+_RSS_SCRIPT = """
+import resource
+import numpy as np
+from morphmix.audio_io import Waveform
+from morphmix.dsp import AugmentationMode, augment_pair
+
+rng = np.random.default_rng(0)
+warm, primary, secondary = (Waveform((0.3 * rng.standard_normal(n)).astype(np.float32), 48000)
+                            for n in (48_000, 240_007, 240_000))
+augment_pair(warm, secondary, AugmentationMode.SPECTRAL_ONLY)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+augment_pair(primary, secondary, AugmentationMode.SPECTRAL_ONLY)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+# measured 35.6 MB; the bound is 1.5 times the 39.5 MB first measured
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+def test_augment_pair_peak_rss_at_a_bluestein_length():
+    assert int(run_python(_RSS_SCRIPT)) / 1024 < 60
 
 
 # measured (stereo) 1.54, 2.79 and 2.00; with a copy of the file's bytes and float64
