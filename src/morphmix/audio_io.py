@@ -11,8 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    EmptyInput,
     InvalidWaveform,
     MalformedHeader,
+    MorphmixError,
     NonFiniteInput,
     TruncatedData,
     UnsupportedEncoding,
@@ -30,7 +32,11 @@ _PCM24 = np.dtype([("lo", "<u2"), ("hi", "i1")])
 
 @dataclass(frozen=True)
 class Waveform:
-    """Decoded audio: (channels, samples) float32 array plus sample rate."""
+    """Decoded audio: (channels, samples) float32 array plus sample rate.
+
+    It holds at least one sample (EmptyInput) and only finite ones (NonFiniteInput);
+    each stage of a mix returns a new Waveform, so an overflow fails where it happens.
+    """
 
     data: np.ndarray  # shape (n_channels, n_samples), float32
     sample_rate: int
@@ -41,6 +47,10 @@ class Waveform:
             data = data[np.newaxis, :]
         if data.ndim != 2:
             raise InvalidWaveform(f"expected 1-D or 2-D sample array, got ndim={data.ndim}")
+        if data.size == 0:
+            raise EmptyInput("waveform has no samples")
+        if not np.isfinite(data).all():
+            raise NonFiniteInput("waveform has a non-finite sample")
         data = np.ascontiguousarray(data)
         if data.base is not None:
             # a view: its base could still be written through another reference,
@@ -90,7 +100,8 @@ def load_wav(path):
     """Decode a WAV file into a Waveform.
 
     Raises MalformedHeader, UnsupportedEncoding or TruncatedData on bad input,
-    and IoFailure if the file cannot be read.
+    IoFailure if the file cannot be read, and Waveform's errors (EmptyInput,
+    NonFiniteInput, InvalidWaveform) with the path in their message.
     """
     raw = read_bytes(path)
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -147,7 +158,10 @@ def load_wav(path):
     frames = samples[:n_frames * n_channels].reshape(n_frames, n_channels)
     out = np.empty((n_channels, n_frames), dtype=np.float32)
     np.divide(frames.T, scale, out=out, dtype=np.float32)
-    return Waveform(out, sample_rate)
+    try:
+        return Waveform(out, sample_rate)
+    except MorphmixError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def _quantize(x, bits, dtype):
@@ -170,8 +184,6 @@ def save_wav(w, path, bit_depth=32):
     """Write a Waveform as WAV. bit_depth 16 or 24 is integer PCM, 32 is IEEE float."""
     if bit_depth not in (16, 24, 32):
         raise ValueError(f"bit_depth must be 16, 24 or 32, got {bit_depth}")
-    if w.n_samples < 1:
-        raise InvalidWaveform("cannot save an empty waveform")
 
     # the payload is a C-ordered array of interleaved frames, written as it is
     frames = w.data.T  # (n_samples, n_channels)
@@ -215,8 +227,3 @@ def to_mono(w):
     mono = w.data.mean(axis=0, dtype=np.float64, keepdims=True)
     return Waveform(mono.astype(np.float32), w.sample_rate)
 
-
-def require_finite(w, what="waveform"):
-    """Raise NonFiniteInput if any sample of w is NaN or infinite."""
-    if not np.isfinite(w.data).all():
-        raise NonFiniteInput(f"{what} has a non-finite sample")

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .audio_io import Waveform, require_finite, to_mono
+from .audio_io import Waveform, to_mono
 from .errors import (
-    EmptyInput,
     LengthMismatch,
     SampleRateMismatch,
     SilentPrimary,
@@ -91,8 +90,6 @@ def full_rms(w):
 
 def loop_or_truncate(w, target_len):
     """Force a waveform to target_len samples: slice if longer, tile if shorter."""
-    if w.n_samples < 1:
-        raise EmptyInput("cannot loop an empty waveform")
     if target_len < 1:
         raise ValueError("target_len must be >= 1")
     n = w.n_samples
@@ -129,8 +126,6 @@ def _power_gain(primary, secondary, epsilon):
 
 def rms_envelope(w, frame_size, hop):
     """Framed RMS of a waveform; windows past the end are zero-padded."""
-    if w.n_samples < 1:
-        raise EmptyInput("cannot measure the envelope of an empty waveform")
     n_frames = math.ceil(w.n_samples / hop)
     # pool channels: per-frame mean square averages over channels too
     if w.n_channels == 1:
@@ -282,7 +277,7 @@ def spectral_interpolate(w1, w2, params=AugmentParams()):
 
 def peak_normalize(w, peak):
     """Scale down so the absolute peak does not exceed `peak`; never scales up."""
-    m = float(max(w.data.max(), -w.data.min())) if w.n_samples else 0.0
+    m = float(max(w.data.max(), -w.data.min()))
     if m <= peak or m == 0.0:
         return w
     return Waveform(_scaled(w.data, peak / m), w.sample_rate)
@@ -303,11 +298,6 @@ def augment_pair(primary, secondary, mode, params=AugmentParams()):
         raise SampleRateMismatch(
             f"{primary.sample_rate} Hz vs {secondary.sample_rate} Hz; resampling is not performed"
         )
-    # one NaN would spread through every mix, envelope and FFT bin of the output
-    require_finite(primary, "primary")
-    require_finite(secondary, "secondary")
-    if primary.n_samples < 1:  # there is no length to loop the secondary to
-        raise EmptyInput("the primary has no samples")
     secondary = loop_or_truncate(secondary, primary.n_samples)
     if secondary.n_channels > primary.n_channels:  # the output has the primary's channels
         secondary = to_mono(secondary)

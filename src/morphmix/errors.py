@@ -31,7 +31,7 @@ class IoFailure(MorphmixError):
 
 
 class InvalidWaveform(MorphmixError):
-    """Waveform invariant violated (e.g. unequal channel lengths)."""
+    """Waveform samples not a 1-D or 2-D array, or a sample rate that is not positive."""
 
 
 class NonFiniteInput(MorphmixError):

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import require_finite, to_mono
+from .audio_io import to_mono
 from .errors import (
     BothNonpositive,
     ConstantInput,
     DegenerateMatrix,
     DimMismatch,
-    EmptyInput,
     LengthMismatch,
     NonFiniteInput,
     NonSymmetric,
@@ -307,9 +306,6 @@ def mock_embed(w, dim=64, latents=None):
     latents=mock_latents(w) lends its frames in place of an STFT when they
     are the ones this call takes; the result is the same.
     """
-    if w.n_samples < 1:
-        raise EmptyInput("cannot embed an empty waveform")
-    require_finite(w)
     frame = min(_FRAME, max(w.n_samples, 16))
     hop = min(_HOP, frame)
     n_bands = max(dim // 2, 4)
@@ -335,7 +331,6 @@ def mock_embed(w, dim=64, latents=None):
 
 def mock_latents(w, dim=32):
     """Deterministic per-frame log-mel latent matrix (stand-in for codec latents)."""
-    require_finite(w)
     if w.n_samples < _FRAME + 2 * _HOP:
         raise TooShort(
             f"need at least {_FRAME + 2 * _HOP} samples for 3 frames, got {w.n_samples}"

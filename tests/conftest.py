@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,25 @@ def run_python(code):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout
+
+
+def raw_wav(path, payload, channels=1, bits=32, fmt=None):
+    """Write payload bytes as they are under a WAV header: IEEE float for 32 bits, PCM
+    for 16 and 24, or the fmt chunk bytes given. save_wav cannot write the empty or
+    non-finite files that load_wav rejects."""
+    if fmt is None:
+        block = channels * bits // 8
+        fmt = struct.pack("<HHIIHH", 3 if bits == 32 else 1, channels, 48000, 48000 * block,
+                          block, bits)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) & 1)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def float_wav(path, frames):
+    """A float32 WAV of frames: equal-length sample tuples or an (n_frames, channels) array."""
+    frames = np.asarray(frames, dtype="<f4")
+    raw_wav(path, frames.tobytes(), frames.shape[1] if frames.ndim == 2 else 1)
 
 
 def make_wave(samples, sr=48000):

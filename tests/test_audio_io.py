@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from morphmix import errors
 from morphmix.audio_io import Waveform, load_wav, save_wav, to_mono
 
-from conftest import HalfWriter, make_wave, random_wave
+from conftest import HalfWriter, float_wav, make_wave, random_wave, raw_wav
 
 
 def data_chunk(path):
@@ -175,16 +176,39 @@ def _pcm24_reference(payload, channels):
 )
 def test_pcm24_decode_matches_bytewise_reference(codes, tail, channels):
     payload = b"".join(c.to_bytes(3, "little") for c in codes) + tail
-    fmt = struct.pack("<HHIIHH", 1, channels, 48000, 48000 * 3 * channels, 3 * channels, 24)
-    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) & 1)
+    expect = _pcm24_reference(payload, channels)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.wav"
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        raw_wav(path, payload, channels, bits=24)
+        if expect.shape[1] == 0:
+            with pytest.raises(errors.EmptyInput, match=re.escape(str(path))):
+                load_wav(path)
+            return
         got = load_wav(path)
-    expect = _pcm24_reference(payload, channels)
     assert got.data.shape == expect.shape
     assert np.array_equal(got.data, expect)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("bits, sample, error", [
+    (16, None, errors.EmptyInput),
+    (24, None, errors.EmptyInput),
+    (32, None, errors.EmptyInput),
+    (32, np.nan, errors.NonFiniteInput),
+    (32, np.inf, errors.NonFiniteInput),
+    (32, -np.inf, errors.NonFiniteInput),
+], ids=["16-bit-empty", "24-bit-empty", "32-bit-empty", "nan", "+inf", "-inf"])
+def test_wav_without_samples_or_with_a_non_finite_one_names_its_file(
+        tmp_path, bits, sample, error, channels):
+    path = tmp_path / "a.wav"
+    if sample is None:
+        raw_wav(path, b"", channels, bits)
+    else:
+        frames = np.full((3, channels), 0.25, dtype="<f4")
+        frames[1, -1] = sample
+        float_wav(path, frames)
+    with pytest.raises(error, match=re.escape(str(path))):
+        load_wav(path)
 
 
 def test_unreadable_path_is_io_failure(tmp_path):
@@ -203,10 +227,7 @@ def test_not_riff_raises(tmp_path):
 
 def test_unsupported_encoding(tmp_path):
     path = tmp_path / "law.wav"
-    fmt = struct.pack("<HHIIHH", 7, 1, 8000, 8000, 1, 8)  # mu-law
-    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", 4) + b"\x00" * 4
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    raw_wav(path, b"\x00" * 4, fmt=struct.pack("<HHIIHH", 7, 1, 8000, 8000, 1, 8))  # mu-law
     with pytest.raises(errors.UnsupportedEncoding):
         load_wav(path)
 
@@ -232,10 +253,7 @@ def extensible_copy(src, dst, subformat, fmt_len=40, cb_size=22):
     guid = struct.pack("<I", subformat) + bytes.fromhex("0000 1000 8000 00aa00389b71")
     fmt = struct.pack("<HHIIHH", 0xFFFE, ch, sr, byte_rate, block_align, bits)
     fmt = (fmt + struct.pack("<HHI", cb_size, bits, 0) + guid)[:fmt_len]
-    data = data_chunk(src)
-    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) & 1)
-    dst.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    raw_wav(dst, data_chunk(src), fmt=fmt)
 
 
 @pytest.mark.parametrize("bits,channels,subformat", [(16, 1, 1), (24, 2, 1), (32, 2, 3)])

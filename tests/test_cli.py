@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -19,13 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphmix import cli, dsp, evaluate, metrics
-from morphmix.audio_io import Waveform, load_wav, save_wav
+from morphmix.audio_io import load_wav, save_wav
 from morphmix.cli import main
 from morphmix.dsp import AugmentParams
 from morphmix.metrics import Embedding, gaussian_stats, mock_embed, mock_latents
 from morphmix.store import EmbeddingStore, read_gaussian_stats, write_gaussian_stats, write_mxeb
 
-from conftest import per_frame_logmel, random_wave
+from conftest import float_wav, per_frame_logmel, random_wave
 
 
 @pytest.fixture
@@ -317,7 +318,7 @@ def test_embed_mock_non_finite_clip(tmp_path, rng, capsys, latents):
     save_wav(random_wave(rng, 9000), audio_dir / "a.wav", bit_depth=32)
     data = random_wave(rng, 9000).data.copy()
     data[0, 4500] = np.nan
-    save_wav(Waveform(data, 48000), audio_dir / "b.wav", bit_depth=32)
+    float_wav(audio_dir / "b.wav", data.T)
     save_wav(random_wave(rng, 9000), audio_dir / "c.wav", bit_depth=32)
     argv = ["embed-mock", str(audio_dir), "--out-store", str(tmp_path / "st")]
     assert main(argv + (["--latents"] if latents else [])) == 1
@@ -472,7 +473,7 @@ def test_embed_mock_reports_failures_in_sorted_clip_order(tmp_path, rng, capsys)
     (audio_dir / "b.wav").write_bytes(b"not a wav file at all")
     data = random_wave(rng, 9000).data.copy()
     data[0, 4500] = np.nan
-    save_wav(Waveform(data, 48000), audio_dir / "c.wav", bit_depth=32)
+    float_wav(audio_dir / "c.wav", data.T)
     save_wav(random_wave(rng, 9000), audio_dir / "d.wav", bit_depth=32)
     (out / "d.mxeb").mkdir(parents=True)
     save_wav(random_wave(rng, 2000), audio_dir / "e.wav", bit_depth=32)  # TooShort for latents
@@ -481,7 +482,7 @@ def test_embed_mock_reports_failures_in_sorted_clip_order(tmp_path, rng, capsys)
     cap = capsys.readouterr()
     assert cap.err.splitlines() == [
         f"failed b.wav: {audio_dir / 'b.wav'}: not a RIFF/WAVE file",
-        "failed c.wav: waveform has a non-finite sample",
+        f"failed c.wav: {audio_dir / 'c.wav'}: waveform has a non-finite sample",
         f"failed d.wav: {out / 'd.mxeb'}: Is a directory",
         "failed e.wav: need at least 3072 samples for 3 frames, got 2000",
     ]
@@ -575,30 +576,19 @@ def test_augment_sample_rate_past_the_header_is_an_error_line(tmp_path, rng, cap
     assert not out.exists() and not (tmp_path / "o.wav.tmp").exists()
 
 
-def _float_wav(path, frames):
-    """A float32 WAV of frames, a list of equal-length sample tuples; save_wav
-    refuses an empty waveform, so this writes the bytes itself."""
-    channels = len(frames[0]) if frames else 1
-    payload = np.asarray(frames, dtype="<f4").tobytes()
-    fmt = struct.pack("<HHIIHH", 3, channels, 48000, 48000 * 4 * channels, 4 * channels, 32)
-    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-
-
 def test_augment_empty_primary_is_an_error_line(tmp_path, wav_pair, capsys):
     p = tmp_path / "empty.wav"
-    _float_wav(p, [])
+    float_wav(p, [])
     out = tmp_path / "o.wav"
     assert main(["augment", str(p), str(wav_pair[1]), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: the primary has no samples\n"
+    assert err == f"error: {p}: waveform has no samples\n"
     assert not out.exists()
 
 
 def test_build_empty_primary_fails_its_pair(tmp_path, wav_pair, capsys):
     empty = tmp_path / "empty.wav"
-    _float_wav(empty, [])
+    float_wav(empty, [])
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("".join(json.dumps({
         "id": pid, "primary_path": str(p), "primary_label": "x",
@@ -608,10 +598,49 @@ def test_build_empty_primary_fails_its_pair(tmp_path, wav_pair, capsys):
     assert main(["build", str(pairs), "--out-dir", str(out)]) == 1
     cap = capsys.readouterr()
     assert "1 built, 1 failed" in cap.out
-    assert cap.err == "failed empty: EmptyInput: the primary has no samples\n"
+    assert cap.err == f"failed empty: EmptyInput: {empty}: waveform has no samples\n"
     entries = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
-    assert [e["error"] for e in entries] == ["EmptyInput: the primary has no samples", ""]
+    assert [e["error"] for e in entries] == [f"EmptyInput: {empty}: waveform has no samples", ""]
     assert [p.name for p in (out / "audio").iterdir()] == ["ok.wav"]
+
+
+@contextlib.contextmanager
+def _float32_overflow_allowed():
+    """Ignore numpy's overflow and invalid-value warnings, which pyproject makes errors, in
+    every thread: build renders in worker threads, which np.errstate does not reach."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
+        yield
+
+
+def _mode_config(path, mode):
+    """A config whose mode distribution draws only mode."""
+    path.write_text(json.dumps({"mode_distribution": {
+        m: float(m == mode) for m in ("rms", "spectral", "both", "none")}}))
+    return path
+
+
+def _wav_samples(path):
+    """The samples of a float32 WAV that save_wav wrote, read past its 44-byte header."""
+    return np.frombuffer(path.read_bytes()[44:], dtype="<f4")
+
+
+@pytest.mark.parametrize("mode", ["none", "rms", "spectral", "both"])
+def test_float32_overflow_writes_no_wav(tmp_path, wav_pair, capsys, mode):
+    # the float64 mix or filter rounds to +-inf in float32; it once became a NaN WAV, exit 0
+    p = tmp_path / "huge.wav"
+    float_wav(p, [(-3e38,), (1,), (3e38,), (1,)])
+    out = tmp_path / "o.wav"
+    pairs = _pairs_file(tmp_path, (p, wav_pair[1]), n=1)
+    with _float32_overflow_allowed():
+        assert main(["augment", str(p), str(wav_pair[1]), "--mode", mode, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: waveform has a non-finite sample\n"
+        assert main(["build", str(pairs), "--out-dir", str(tmp_path / "out"),
+                     "--config", str(_mode_config(tmp_path / "config.json", mode))]) == 1
+    assert not out.exists()
+    entry = json.loads((tmp_path / "out" / "manifest.jsonl").read_text())  # one line
+    assert entry["error"] == "NonFiniteInput: waveform has a non-finite sample"
+    assert list((tmp_path / "out" / "audio").iterdir()) == []
 
 
 @pytest.mark.parametrize("name", ["base, v2", 'say "hi"'])
@@ -1127,9 +1156,11 @@ def test_mutated_input_ends_in_an_exit_code(target, edits):
                 assert code in (0, 1, 2), (command, sink.getvalue())
 
 
-# full-scale float samples, subnormals and zeros included; 0 frames is an empty data chunk
+# every finite float32, subnormals and values near the float32 maximum included; 0 frames
+# is an empty data chunk
 TINY_WAV = st.integers(1, 2).flatmap(lambda channels: st.lists(
-    st.tuples(*[st.floats(-1, 1, width=32)] * channels), max_size=20))
+    st.tuples(*[st.floats(width=32, allow_nan=False, allow_infinity=False)] * channels),
+    max_size=20))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1137,21 +1168,23 @@ TINY_WAV = st.integers(1, 2).flatmap(lambda channels: st.lists(
 def test_tiny_inputs_end_in_an_exit_code(primary, secondary):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        p, s = root / "p.wav", root / "s.wav"
-        _float_wav(p, primary)
-        _float_wav(s, secondary)
+        p, s, o = root / "p.wav", root / "s.wav", root / "o.wav"
+        float_wav(p, primary)
+        float_wav(s, secondary)
         pairs = _pairs_file(root, (p, s), n=2)
         sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
+                _float32_overflow_allowed():
             for mode in ("none", "rms", "spectral", "both"):
                 for flags in ([], ["--per-channel"]):
-                    code = main(["augment", str(p), str(s), "--mode", mode,
-                                 "--out", str(root / "o.wav"), *flags])
+                    o.unlink(missing_ok=True)
+                    code = main(["augment", str(p), str(s), "--mode", mode, "--out", str(o), *flags])
                     assert code in (0, 1, 2), (mode, flags, sink.getvalue())
-                config = root / "config.json"
-                config.write_text(json.dumps({"mode_distribution": {
-                    m: float(m == mode) for m in ("rms", "spectral", "both", "none")}}))
-                out = root / "out"
-                code = main(["build", str(pairs), "--out-dir", str(out), "--config", str(config)])
+                    assert not o.exists() or np.isfinite(_wav_samples(o)).all(), (mode, flags)
+                out = root / mode
+                code = main(["build", str(pairs), "--out-dir", str(out),
+                             "--config", str(_mode_config(root / "config.json", mode))])
                 assert code in (0, 1, 2), (mode, sink.getvalue())
                 assert len((out / "manifest.jsonl").read_text().splitlines()) == 2
+                for wav in (out / "audio").iterdir():
+                    assert np.isfinite(_wav_samples(wav)).all(), (mode, wav.name)

@@ -30,7 +30,7 @@ from morphmix.dataset import (
 )
 from morphmix.dsp import AugmentParams, AugmentationMode
 
-from conftest import HalfWriter, random_wave
+from conftest import HalfWriter, float_wav, random_wave
 
 THREE_WAY = ModeDistribution(1 / 3, 1 / 3, 1 / 3, 0.0)
 
@@ -232,13 +232,13 @@ def test_build_non_finite_pair_is_an_error_entry(tmp_path):
     nan_path = tmp_path / "in" / "nan.wav"
     data = random_wave(np.random.default_rng(3), 12000).data.copy()
     data[0, 6000] = np.nan
-    save_wav(Waveform(data, 48000), nan_path, bit_depth=32)
+    float_wav(nan_path, data.T)
     pairs[1] = PairSpec("nan", str(nan_path), "x", pairs[1].secondary_path, "y")
     manifests = []
     for jobs in (1, 2):
         out = tmp_path / f"out{jobs}"
         entries = build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 4, out, jobs=jobs)
-        assert entries[1].error.startswith("NonFiniteInput:")
+        assert entries[1].error == f"NonFiniteInput: {nan_path}: waveform has a non-finite sample"
         assert entries[1].audio_path == ""
         assert not (out / "audio" / "nan.wav").exists()
         assert not entries[0].failed and not entries[2].failed
@@ -261,12 +261,12 @@ def input_kinds(tmp_path_factory):
         "short": random_wave(rng, 900),
         "stereo": random_wave(rng, 1700, channels=2),
         "silent": Waveform(np.zeros((1, 1200), dtype=np.float32), 48000),
-        "nan": Waveform(nan, 48000),
     }
-    paths = {"missing": str(root / "missing.wav")}
+    paths = {"missing": str(root / "missing.wav"), "nan": str(root / "nan.wav")}
     for kind, w in waves.items():
         paths[kind] = str(root / f"{kind}.wav")
         save_wav(w, paths[kind], bit_depth=32)
+    float_wav(root / "nan.wav", nan.T)
     return paths
 
 

@@ -444,9 +444,10 @@ def test_augment_both_compositional_oracle(rng):
 
 @pytest.mark.parametrize("mode", list(AugmentationMode))
 def test_augment_empty_primary_is_empty_input(rng, mode):
-    empty = Waveform(np.zeros((1, 0), dtype=np.float32), 48000)
-    with pytest.raises(errors.EmptyInput, match="primary has no samples"):
-        augment_pair(empty, random_wave(rng, 1000), mode)
+    # Waveform states the rule, so no empty primary reaches augment_pair
+    with pytest.raises(errors.EmptyInput, match="no samples"):
+        augment_pair(Waveform(np.zeros((1, 0), dtype=np.float32), 48000),
+                     random_wave(rng, 1000), mode)
 
 
 def test_augment_rejects_sample_rate_mismatch(rng):
@@ -527,9 +528,18 @@ def test_augment_pair_follows_the_primary_envelope(case):
 @pytest.mark.parametrize("mode", list(AugmentationMode))
 @pytest.mark.parametrize("which", ["primary", "secondary"])
 def test_augment_rejects_non_finite(rng, mode, which):
-    waves = {"primary": random_wave(rng, 4096), "secondary": random_wave(rng, 3000)}
-    data = waves[which].data.copy()
-    data[0, 100] = np.nan
-    waves[which] = Waveform(data, 48000)
-    with pytest.raises(errors.NonFiniteInput, match=which):
-        augment_pair(waves["primary"], waves["secondary"], mode)
+    data = {"primary": random_wave(rng, 4096).data, "secondary": random_wave(rng, 3000).data}
+    data[which] = data[which].copy()
+    data[which][0, 100] = np.nan
+    # Waveform states the rule, so no NaN reaches augment_pair
+    with pytest.raises(errors.NonFiniteInput, match="non-finite sample"):
+        augment_pair(Waveform(data["primary"], 48000), Waveform(data["secondary"], 48000), mode)
+
+
+@pytest.mark.parametrize("mode", list(AugmentationMode))
+def test_augment_float32_overflow_is_non_finite_input(mode):
+    # the float64 mix or filter rounds to +-inf in float32; the stage's Waveform refuses it
+    primary = Waveform(np.array([-3e38, 1, 3e38, 1], dtype=np.float32), 48000)
+    secondary = Waveform(np.array([0.5, -0.25, 0.1], dtype=np.float32), 48000)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(errors.NonFiniteInput):
+        augment_pair(primary, secondary, mode)
