@@ -34,8 +34,9 @@ _PCM24 = np.dtype([("lo", "<u2"), ("hi", "i1")])
 class Waveform:
     """Decoded audio: (channels, samples) float32 array plus sample rate.
 
-    It holds at least one sample (EmptyInput) and only finite ones (NonFiniteInput);
-    each stage of a mix returns a new Waveform, so an overflow fails where it happens.
+    Any real array is rounded once to float32, into a read-only array it owns. It
+    holds at least one sample (EmptyInput) and only finite ones (NonFiniteInput);
+    each stage of a mix returns a new Waveform, so a float32 overflow fails there.
     """
 
     data: np.ndarray  # shape (n_channels, n_samples), float32
@@ -53,9 +54,9 @@ class Waveform:
             raise NonFiniteInput("waveform has a non-finite sample")
         data = np.ascontiguousarray(data)
         if data.base is not None:
-            # a view: its base could still be written through another reference,
-            # and results derived from a Waveform (mock_latents frames lent to
-            # mock_embed) are only valid while its samples stay the same
+            # a view: the Waveform owns its samples, so no other reference can
+            # write them, and it does not keep a larger base (a tiled or
+            # sliced array) alive
             data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -225,5 +226,5 @@ def to_mono(w):
     if w.n_channels == 1:
         return w
     mono = w.data.mean(axis=0, dtype=np.float64, keepdims=True)
-    return Waveform(mono.astype(np.float32), w.sample_rate)
+    return Waveform(mono, w.sample_rate)
 

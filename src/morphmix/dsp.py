@@ -96,9 +96,9 @@ def loop_or_truncate(w, target_len):
     if n == target_len:
         return w
     if n > target_len:
-        return Waveform(w.data[:, :target_len].copy(), w.sample_rate)
+        return Waveform(w.data[:, :target_len], w.sample_rate)
     reps = math.ceil(target_len / n)
-    return Waveform(np.tile(w.data, (1, reps))[:, :target_len].copy(), w.sample_rate)
+    return Waveform(np.tile(w.data, (1, reps))[:, :target_len], w.sample_rate)
 
 
 def equal_power_mix(primary, secondary, epsilon=1e-8):
@@ -192,7 +192,7 @@ def apply_eq(w, curve):
     if curve.fft_size != w.n_samples:
         raise SizeMismatch(f"curve fft_size {curve.fft_size} != signal length {w.n_samples}")
     spec = _spectrum(w) * curve.gains
-    return Waveform(np.fft.irfft(spec, n=curve.fft_size, axis=1).astype(np.float32), w.sample_rate)
+    return Waveform(np.fft.irfft(spec, n=curve.fft_size, axis=1), w.sample_rate)
 
 
 def _spectrum(w):
@@ -272,7 +272,7 @@ def spectral_interpolate(w1, w2, params=AugmentParams()):
     del spec2
     out = np.fft.irfft(spec1, n=n, axis=1)
     del spec1
-    return Waveform(out.astype(np.float32), w1.sample_rate)
+    return Waveform(out, w1.sample_rate)
 
 
 def peak_normalize(w, peak):
@@ -283,6 +283,7 @@ def peak_normalize(w, peak):
     return Waveform(_scaled(w.data, peak / m), w.sample_rate)
 
 
+@np.errstate(over="ignore")  # a stage's Waveform reports a float32 overflow, in any thread
 def augment_pair(primary, secondary, mode, params=AugmentParams()):
     """Render one surrogate morph from a (primary, secondary) pair.
 

@@ -64,10 +64,6 @@ def _record(path, make, *arrays):
         raise BadFormat(f"{path}: {e}") from None
 
 
-def write_embedding(path, emb):
-    write_mxeb(path, emb.values[np.newaxis, :])
-
-
 def read_embedding(path):
     m = read_mxeb(path)
     if len(m) != 1:  # Embedding flattens its input, so only the reader sees rows

@@ -11,13 +11,21 @@ from morphmix import metrics
 from morphmix.audio_io import Waveform, to_mono
 
 
-def run_python(code):
-    """The stdout of code run by a fresh interpreter that imports morphmix from src/."""
+def fresh_python(*args):
+    """A fresh interpreter run on args; it imports morphmix from src/ and starts with the
+    default warning filters, so only args set one."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_python(code):
+    """The stdout of code run by a fresh interpreter that imports morphmix from src/."""
+    result = fresh_python("-c", code)
+    result.check_returncode()
+    return result.stdout
 
 
 def raw_wav(path, payload, channels=1, bits=32, fmt=None):

@@ -329,6 +329,16 @@ def test_invalid_waveform():
         Waveform(np.zeros((1, 4), dtype=np.float32), 0)
 
 
+@pytest.mark.parametrize("shape", [(1000,), (2, 1000)])
+def test_waveform_rounds_a_float64_array_once_to_float32(rng, shape):
+    # the stages pass their float64 results to Waveform uncast
+    x64 = rng.normal(size=shape)
+    got = Waveform(x64, 48000).data
+    expect = Waveform(x64.astype(np.float32), 48000).data
+    assert got.dtype == np.float32 and got.tobytes() == expect.tobytes()
+    assert got.flags.c_contiguous and not got.flags.writeable
+
+
 @pytest.mark.parametrize("view", [lambda b: b, lambda b: b[:4], lambda b: b.reshape(2, 4)])
 def test_waveform_samples_cannot_change(view):
     buf = np.zeros(8, dtype=np.float32)

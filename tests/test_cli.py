@@ -10,7 +10,6 @@ import sys
 import tempfile
 import threading
 import time
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +25,7 @@ from morphmix.dsp import AugmentParams
 from morphmix.metrics import Embedding, gaussian_stats, mock_embed, mock_latents
 from morphmix.store import EmbeddingStore, read_gaussian_stats, write_gaussian_stats, write_mxeb
 
-from conftest import float_wav, per_frame_logmel, random_wave
+from conftest import float_wav, fresh_python, per_frame_logmel, random_wave
 
 
 @pytest.fixture
@@ -604,15 +603,6 @@ def test_build_empty_primary_fails_its_pair(tmp_path, wav_pair, capsys):
     assert [p.name for p in (out / "audio").iterdir()] == ["ok.wav"]
 
 
-@contextlib.contextmanager
-def _float32_overflow_allowed():
-    """Ignore numpy's overflow and invalid-value warnings, which pyproject makes errors, in
-    every thread: build renders in worker threads, which np.errstate does not reach."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
-        yield
-
-
 def _mode_config(path, mode):
     """A config whose mode distribution draws only mode."""
     path.write_text(json.dumps({"mode_distribution": {
@@ -632,15 +622,40 @@ def test_float32_overflow_writes_no_wav(tmp_path, wav_pair, capsys, mode):
     float_wav(p, [(-3e38,), (1,), (3e38,), (1,)])
     out = tmp_path / "o.wav"
     pairs = _pairs_file(tmp_path, (p, wav_pair[1]), n=1)
-    with _float32_overflow_allowed():
-        assert main(["augment", str(p), str(wav_pair[1]), "--mode", mode, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: waveform has a non-finite sample\n"
-        assert main(["build", str(pairs), "--out-dir", str(tmp_path / "out"),
-                     "--config", str(_mode_config(tmp_path / "config.json", mode))]) == 1
+    # pyproject makes numpy's RuntimeWarning an error in every thread, build's workers too
+    assert main(["augment", str(p), str(wav_pair[1]), "--mode", mode, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: waveform has a non-finite sample\n"
+    assert main(["build", str(pairs), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(_mode_config(tmp_path / "config.json", mode))]) == 1
+    assert capsys.readouterr().err == (
+        "failed pair0: NonFiniteInput: waveform has a non-finite sample\n")
     assert not out.exists()
     entry = json.loads((tmp_path / "out" / "manifest.jsonl").read_text())  # one line
     assert entry["error"] == "NonFiniteInput: waveform has a non-finite sample"
     assert list((tmp_path / "out" / "audio").iterdir()) == []
+
+
+@pytest.mark.parametrize("warning_flags", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["default-filters", "warnings-as-errors"])
+def test_float32_overflow_is_reported_once_by_a_fresh_cli(tmp_path, wav_pair, warning_flags):
+    # the NonFiniteInput line is the only report: numpy prints no overflow warning beside it,
+    # and as an error no such warning ends build in a traceback before its manifest
+    p = tmp_path / "huge.wav"
+    float_wav(p, [(-3e38,), (1,), (3e38,), (1,)])
+    pairs = _pairs_file(tmp_path, (p, wav_pair[1]), n=1)
+    out = tmp_path / "out"
+    build = fresh_python(*warning_flags, "-m", "morphmix.cli", "build", str(pairs),
+                         "--out-dir", str(out))
+    assert (build.returncode, build.stderr) == (
+        1, "failed pair0: NonFiniteInput: waveform has a non-finite sample\n")
+    entry = json.loads((out / "manifest.jsonl").read_text())  # one line
+    assert entry["error"] == "NonFiniteInput: waveform has a non-finite sample"
+    assert list((out / "audio").iterdir()) == []
+    wav = tmp_path / "o.wav"
+    augment = fresh_python(*warning_flags, "-m", "morphmix.cli", "augment", str(p),
+                           str(wav_pair[1]), "--mode", "spectral", "--out", str(wav))
+    assert (augment.returncode, augment.stderr) == (1, "error: waveform has a non-finite sample\n")
+    assert not wav.exists()
 
 
 @pytest.mark.parametrize("name", ["base, v2", 'say "hi"'])
@@ -1173,8 +1188,7 @@ def test_tiny_inputs_end_in_an_exit_code(primary, secondary):
         float_wav(s, secondary)
         pairs = _pairs_file(root, (p, s), n=2)
         sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
-                _float32_overflow_allowed():
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             for mode in ("none", "rms", "spectral", "both"):
                 for flags in ([], ["--per-channel"]):
                     o.unlink(missing_ok=True)

@@ -41,6 +41,16 @@ def test_truncate_prefix_slice_oracle(rng):
     assert np.array_equal(got.data, w.data[:, :24000])
 
 
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("target", [24000, 100001])  # a truncation and a tiling
+def test_loop_result_shares_no_memory_with_its_input(rng, channels, target):
+    # loop_or_truncate passes a slice to Waveform, which copies it
+    w = random_wave(rng, 48000, channels=channels)
+    got = loop_or_truncate(w, target)
+    assert not np.shares_memory(got.data, w.data)
+    assert got.data.flags.c_contiguous and not got.data.flags.writeable
+
+
 def test_loop_empty_raises():
     with pytest.raises(errors.MorphmixError):
         loop_or_truncate(Waveform(np.zeros((1, 0), dtype=np.float32), 48000), 5)
@@ -541,5 +551,5 @@ def test_augment_float32_overflow_is_non_finite_input(mode):
     # the float64 mix or filter rounds to +-inf in float32; the stage's Waveform refuses it
     primary = Waveform(np.array([-3e38, 1, 3e38, 1], dtype=np.float32), 48000)
     secondary = Waveform(np.array([0.5, -0.25, 0.1], dtype=np.float32), 48000)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(errors.NonFiniteInput):
+    with pytest.raises(errors.NonFiniteInput):
         augment_pair(primary, secondary, mode)

@@ -18,7 +18,6 @@ from morphmix.store import (
     read_gaussian_stats,
     read_latents,
     read_mxeb,
-    write_embedding,
     write_gaussian_stats,
     write_mxeb,
 )
@@ -52,7 +51,7 @@ def test_write_mxeb_takes_only_a_2d_array(tmp_path, shape):
 def test_embedding_roundtrip(tmp_path, rng):
     path = tmp_path / "e.mxeb"
     e = Embedding(rng.normal(size=12).astype(np.float32))
-    write_embedding(path, e)
+    write_mxeb(path, e.values[np.newaxis, :])
     loaded = read_embedding(path)
     assert np.array_equal(loaded.values, e.values)
 
