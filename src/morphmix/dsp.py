@@ -23,6 +23,8 @@ from .errors import (
     check_fields,
 )
 
+_waveform_reports = np.errstate(over="ignore", invalid="ignore")  # the Waveform reports inf/NaN
+
 
 class AugmentationMode(enum.Enum):
     RMS_ONLY = "rms"
@@ -101,16 +103,19 @@ def loop_or_truncate(w, target_len):
     return Waveform(np.tile(w.data, (1, reps))[:, :target_len], w.sample_rate)
 
 
+def _float32(ufunc, x, y):
+    """ufunc(x, y) in float64, rounded once into a new float32 array of the broadcast shape."""
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), np.float32)
+    return ufunc(x, y, out=out, dtype=np.float64)
+
+
+@_waveform_reports
 def equal_power_mix(primary, secondary, epsilon=1e-8):
     """Sum primary with secondary rescaled to the primary's full-clip RMS (0 dB SNR)."""
     _check_compatible(primary, secondary)
     matched = np.multiply(secondary.data, _power_gain(primary, secondary, epsilon),
                           dtype=np.float64)
-    # the float64 sum is rounded straight into the float32 result, which takes
-    # the broadcast shape of a mono and a stereo input
-    mixed = np.empty(np.broadcast_shapes(primary.data.shape, secondary.data.shape), np.float32)
-    np.add(primary.data, matched, out=mixed, dtype=np.float64)
-    return Waveform(mixed, primary.sample_rate)
+    return Waveform(_float32(np.add, primary.data, matched), primary.sample_rate)
 
 
 def _power_gain(primary, secondary, epsilon):
@@ -138,6 +143,7 @@ def rms_envelope(w, frame_size, hop):
     return RmsEnvelope(vals, frame_size, hop, w.n_samples)
 
 
+@_waveform_reports
 def apply_rms_envelope(target, w, epsilon=1e-8):
     """Rescale w frame-by-frame so its RMS envelope follows the target.
 
@@ -151,14 +157,7 @@ def apply_rms_envelope(target, w, epsilon=1e-8):
     own = rms_envelope(w, target.frame_size, target.hop)
     gains = target.frame_rms / (own.frame_rms + epsilon)
     per_sample = kernels.interp_frame_gains(gains, target.frame_size, target.hop, w.n_samples)
-    return Waveform(_scaled(w.data, per_sample), w.sample_rate)
-
-
-def _scaled(x, gain):
-    """float32 x times gain, multiplied in float64 and rounded once to float32."""
-    out = np.empty_like(x)
-    np.multiply(x, gain, out=out, dtype=np.float64)
-    return out
+    return Waveform(_float32(np.multiply, w.data, per_sample), w.sample_rate)
 
 
 def spectral_target(mag1, mag2):
@@ -187,6 +186,7 @@ def eq_curve(target_mag, source_mag, smooth_window=101, epsilon=1e-8, *, fft_siz
     return EqCurve(smoothed, fft_size=fft_size)
 
 
+@_waveform_reports
 def apply_eq(w, curve):
     """Filter by multiplying each FFT bin's magnitude by its gain, phase untouched."""
     if curve.fft_size != w.n_samples:
@@ -248,6 +248,7 @@ def _spectra(w1, w2):
     return spec1, spec2
 
 
+@_waveform_reports
 def spectral_interpolate(w1, w2, params=AugmentParams()):
     """Filter both signals toward their averaged magnitude spectrum and sum.
 
@@ -280,10 +281,10 @@ def peak_normalize(w, peak):
     m = float(max(w.data.max(), -w.data.min()))
     if m <= peak or m == 0.0:
         return w
-    return Waveform(_scaled(w.data, peak / m), w.sample_rate)
+    return Waveform(_float32(np.multiply, w.data, peak / m), w.sample_rate)
 
 
-@np.errstate(over="ignore")  # a stage's Waveform reports a float32 overflow, in any thread
+@_waveform_reports
 def augment_pair(primary, secondary, mode, params=AugmentParams()):
     """Render one surrogate morph from a (primary, secondary) pair.
 
@@ -295,18 +296,15 @@ def augment_pair(primary, secondary, mode, params=AugmentParams()):
     """
     if not isinstance(mode, AugmentationMode):
         raise ValueError(f"unknown mode {mode!r}")
-    if primary.sample_rate != secondary.sample_rate:
-        raise SampleRateMismatch(
-            f"{primary.sample_rate} Hz vs {secondary.sample_rate} Hz; resampling is not performed"
-        )
     secondary = loop_or_truncate(secondary, primary.n_samples)
     if secondary.n_channels > primary.n_channels:  # the output has the primary's channels
         secondary = to_mono(secondary)
+    _check_compatible(primary, secondary)  # before _power_gain: a rate mismatch is not silence
 
     if mode in (AugmentationMode.SPECTRAL_ONLY, AugmentationMode.BOTH):
         # the power-matched copy replaces the looped one
         gain = _power_gain(primary, secondary, params.epsilon)
-        secondary = Waveform(_scaled(secondary.data, gain), secondary.sample_rate)
+        secondary = Waveform(_float32(np.multiply, secondary.data, gain), secondary.sample_rate)
         out = spectral_interpolate(primary, secondary, params)
     else:
         out = equal_power_mix(primary, secondary, params.epsilon)
@@ -321,4 +319,5 @@ def _check_compatible(a, b):
     if a.n_samples != b.n_samples:
         raise LengthMismatch(f"lengths differ: {a.n_samples} vs {b.n_samples}")
     if a.sample_rate != b.sample_rate:
-        raise SampleRateMismatch(f"{a.sample_rate} Hz vs {b.sample_rate} Hz")
+        raise SampleRateMismatch(
+            f"{a.sample_rate} Hz vs {b.sample_rate} Hz; resampling is not performed")

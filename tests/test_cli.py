@@ -658,6 +658,28 @@ def test_float32_overflow_is_reported_once_by_a_fresh_cli(tmp_path, wav_pair, wa
     assert not wav.exists()
 
 
+@pytest.mark.parametrize("warning_flags", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["default-filters", "warnings-as-errors"])
+@pytest.mark.parametrize("pair,mode", [("cancelling", "rms"), ("constant-secondary", "spectral")])
+def test_tiny_epsilon_nan_is_reported_once_by_a_fresh_cli(tmp_path, rng, warning_flags, pair,
+                                                          mode):
+    # target / epsilon overflows to inf and 0 * inf is NaN: numpy's invalid-value warning once
+    # printed beside the NonFiniteInput line, and as an error ended build in a traceback
+    p, s = tmp_path / "p.wav", tmp_path / "s.wav"
+    float_wav(p, np.full(4096, 0.5) if pair == "cancelling" else rng.uniform(-0.3, 0.3, 4096))
+    float_wav(s, np.full(4096, -0.5 if pair == "cancelling" else 0.5))
+    out = tmp_path / "out"
+    build = fresh_python(*warning_flags, "-m", "morphmix.cli", "build",
+                         str(_pairs_file(tmp_path, (p, s), n=1)), "--out-dir", str(out),
+                         "--epsilon", "1e-320",
+                         "--config", str(_mode_config(tmp_path / "config.json", mode)))
+    assert (build.returncode, build.stderr) == (
+        1, "failed pair0: NonFiniteInput: waveform has a non-finite sample\n")
+    entry = json.loads((out / "manifest.jsonl").read_text())  # one line
+    assert entry["error"] == "NonFiniteInput: waveform has a non-finite sample"
+    assert list((out / "audio").iterdir()) == []
+
+
 @pytest.mark.parametrize("name", ["base, v2", 'say "hi"'])
 def test_eval_csv_quotes_the_model_name(tmp_path, rng, capsys, name):
     store, clips_path, ref_path = _eval_setup(tmp_path, rng)

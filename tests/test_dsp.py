@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -467,6 +469,26 @@ def test_augment_rejects_sample_rate_mismatch(rng):
         augment_pair(a, b, AugmentationMode.NONE)
 
 
+@pytest.mark.parametrize("mode", list(AugmentationMode))
+@pytest.mark.parametrize("channels,silent", [(1, True), (2, False)],
+                         ids=["silent-mono", "stereo-on-mono"])
+def test_augment_checks_the_sample_rate_before_the_secondary_power(rng, mode, channels, silent):
+    # the rate is checked before the power gain, so a silent secondary at another rate is
+    # a rate mismatch, not a SilentSecondary; the looped and downmixed copy keeps its rate
+    primary = random_wave(rng, 1000, sr=48000)
+    amp = 0.0 if silent else 0.3
+    secondary = random_wave(rng, 700, sr=44100, amp=amp, channels=channels)
+    with pytest.raises(errors.SampleRateMismatch, match="resampling is not performed"):
+        augment_pair(primary, secondary, mode)
+
+
+@pytest.mark.parametrize("stage", [equal_power_mix, spectral_interpolate])
+def test_stages_reject_a_sample_rate_mismatch_without_resampling(rng, stage):
+    with pytest.raises(errors.SampleRateMismatch,
+                       match="48000 Hz vs 44100 Hz; resampling is not performed"):
+        stage(random_wave(rng, 1000, sr=48000), random_wave(rng, 1000, sr=44100))
+
+
 def test_augment_rejects_unknown_mode_before_any_work(rng):
     a = random_wave(rng, 1000, sr=48000)
     b = random_wave(rng, 1000, sr=44100)  # a SampleRateMismatch, had the mode been checked later
@@ -553,3 +575,49 @@ def test_augment_float32_overflow_is_non_finite_input(mode):
     secondary = Waveform(np.array([0.5, -0.25, 0.1], dtype=np.float32), 48000)
     with pytest.raises(errors.NonFiniteInput):
         augment_pair(primary, secondary, mode)
+
+
+_TINY_EPSILON_PAIRS = {
+    # the mix cancels, so the envelope gain target / epsilon overflows to inf, and 0 * inf is NaN
+    "cancelling": (np.full(4096, 0.5), np.full(4096, -0.5),
+                   {AugmentationMode.RMS_ONLY, AugmentationMode.BOTH}),
+    # the constant secondary has no energy above DC: its EQ gains overflow, and inf - inf
+    # in the smoothing and 0 * inf in the filter are NaN
+    "constant secondary": (np.random.default_rng(5).uniform(-0.3, 0.3, 4096), np.full(4096, 0.5),
+                           {AugmentationMode.SPECTRAL_ONLY, AugmentationMode.BOTH}),
+}
+
+
+@pytest.mark.parametrize("mode", list(AugmentationMode))
+@pytest.mark.parametrize("pair", list(_TINY_EPSILON_PAIRS))
+def test_augment_tiny_epsilon_nan_is_non_finite_input_without_a_warning(mode, pair):
+    primary, secondary, failing = _TINY_EPSILON_PAIRS[pair]
+    params = AugmentParams(epsilon=1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the Waveform's NonFiniteInput is the only report
+        if mode in failing:
+            with pytest.raises(errors.NonFiniteInput):
+                augment_pair(make_wave(primary), make_wave(secondary), mode, params)
+        else:
+            out = augment_pair(make_wave(primary), make_wave(secondary), mode, params)
+            assert np.isfinite(out.data).all()
+
+
+_HUGE = [-3e38, 1, 3e38, 1]
+_ALTERNATING = [3e38, -3e38, 3e38, -3e38]
+
+
+@pytest.mark.parametrize("stage", [
+    lambda: equal_power_mix(make_wave(_HUGE), make_wave(_HUGE)),
+    lambda: apply_rms_envelope(rms_envelope(make_wave([3e38] * 4), 2, 1),
+                               make_wave([1e-30, 1e-30, 1, 1])),
+    lambda: apply_eq(make_wave([3e38] * 4), eq_curve([1e10] * 3, [1] * 3, 1, fft_size=4)),
+    lambda: spectral_interpolate(make_wave(_ALTERNATING), make_wave(_ALTERNATING),
+                                 AugmentParams(eq_smooth_window=1)),
+], ids=["equal_power_mix", "apply_rms_envelope", "apply_eq", "spectral_interpolate"])
+def test_public_stage_float32_overflow_is_non_finite_input_without_a_warning(stage):
+    # each stage, not only augment_pair, leaves the report to the Waveform it returns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.NonFiniteInput):
+            stage()
