@@ -18,7 +18,7 @@ from pathlib import Path
 from . import dataset, evaluate, metrics, store
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
-from .errors import MorphmixError, TooShort, write_atomic
+from .errors import MorphmixError, TooShort, read_bytes, write_atomic
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -60,16 +60,16 @@ def _make_dir(path):
 
 
 def load_config(args):
-    """The --config JSON object's typed values, each AugmentParams flag given overriding it."""
+    """The --config JSON object's typed values; AugmentParams checks its merge with the flags."""
     raw = {}
     if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = json.loads(read_bytes(args.config).decode("utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-    params = dataclasses.replace(AugmentParams(**raw.get("augment_params", {})), **{
+    params = AugmentParams(**{**raw.get("augment_params", {}), **{
         f.name: getattr(args, f.name) for f in dataclasses.fields(AugmentParams)
         if getattr(args, f.name) is not None
-    })
+    }})
     dist = dataset.ModeDistribution(**raw.get("mode_distribution", {}))
     window = dataset.TimestepWindow(**raw.get("timestep_window", {}))
     seed = raw.get("seed", 0)

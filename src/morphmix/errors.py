@@ -162,7 +162,8 @@ def check_fields(record):
 def read_bytes(path):
     """The bytes of the file at path; IoFailure if it cannot be read."""
     try:
-        with io.FileIO(path) as f:  # unbuffered: one read of the whole file
+        # unbuffered: one read of the whole file; a str path, so a message names it as text
+        with io.FileIO(os.fspath(path)) as f:
             return f.read()
     except (OSError, ValueError) as e:  # ValueError: a path with a NUL or a lone surrogate
         raise IoFailure(f"{path}: {e}") from e

@@ -25,19 +25,13 @@ VERSION = 1
 
 
 def write_mxeb(path, matrix):
-    """Write a 2-D float array as an MXEB file; IoFailure if it cannot be written."""
+    """Write a 2-D float array as an MXEB file through write_atomic: path holds the old
+    file or the new one, and a failed write raises IoFailure."""
     m = np.asarray(matrix, dtype="<f4")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
-    t, d = m.shape
-    try:
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(bytes([VERSION]))
-            f.write(struct.pack("<II", t, d))
-            f.write(np.ascontiguousarray(m).tobytes())
-    except OSError as e:
-        raise IoFailure(f"{path}: {e.strerror or e}") from e
+    write_atomic(path, MAGIC + bytes([VERSION]) + struct.pack("<II", *m.shape),
+                 np.ascontiguousarray(m))
 
 
 def read_mxeb(path):
@@ -103,11 +97,10 @@ class EmbeddingStore:
         self._batch_depth = 0
         index_path = self.root / self.INDEX
         if index_path.exists():
-            with open(index_path, encoding="utf-8") as f:
-                try:
-                    index = json.load(f)
-                except ValueError as e:  # not JSON, not UTF-8, or an int past 4,300 digits
-                    raise BadFormat(f"{index_path}: not a JSON index: {e}") from e
+            try:
+                index = json.loads(read_bytes(index_path).decode("utf-8"))
+            except ValueError as e:  # not JSON, not UTF-8, or an int past 4,300 digits
+                raise BadFormat(f"{index_path}: not a JSON index: {e}") from e
             entries = index.get("entries") if isinstance(index, dict) else None
             if not (isinstance(entries, dict)
                     and all(isinstance(name, str) for name in entries.values())):

@@ -233,6 +233,33 @@ def test_unsupported_encoding(tmp_path):
 
 
 
+@pytest.mark.parametrize("fmt,error,text", [
+    (struct.pack("<HHIIH", 1, 1, 8000, 16000, 2), errors.MalformedHeader, "fmt chunk too short"),
+    (struct.pack("<HHIIHH", 1, 3, 8000, 48000, 6, 16), errors.UnsupportedEncoding,
+     "3 channels not supported"),
+    (struct.pack("<HHIIHH", 3, 1, 8000, 64000, 8, 64), errors.UnsupportedEncoding,
+     "64-bit float not supported"),
+    (struct.pack("<HHIIHH", 1, 1, 8000, 8000, 1, 8), errors.UnsupportedEncoding,
+     "8-bit PCM not supported"),
+], ids=["14-byte fmt chunk", "3 channels", "64-bit float", "8-bit PCM"])
+def test_fmt_chunk_outside_the_supported_encodings(tmp_path, fmt, error, text):
+    path = tmp_path / "a.wav"
+    raw_wav(path, b"\x00" * 24, fmt=fmt)
+    with pytest.raises(error, match=text):
+        load_wav(path)
+
+
+def test_waveform_of_a_3d_array_is_invalid():
+    with pytest.raises(errors.InvalidWaveform, match="ndim=3"):
+        Waveform(np.zeros((1, 1, 4), dtype=np.float32), 48000)
+
+
+def test_save_wav_8_bit_is_value_error(tmp_path):
+    with pytest.raises(ValueError, match="bit_depth must be 16, 24 or 32, got 8"):
+        save_wav(make_wave([0.5, -0.5]), tmp_path / "a.wav", bit_depth=8)
+    assert not (tmp_path / "a.wav").exists()
+
+
 @pytest.mark.parametrize("bits,channels,block_align",
                          [(16, 2, 3), (16, 2, 8), (16, 2, 2), (16, 1, 4), (24, 1, 4), (32, 2, 4)])
 def test_block_align_other_than_packed_frames_is_unsupported(tmp_path, rng, bits, channels,

@@ -225,6 +225,26 @@ def test_build_invalid_param_flag_is_usage_error(tmp_path, wav_pair, capsys):
     assert not (out / "manifest.jsonl").exists()
 
 
+# a config that AugmentParams rejects, and a flag that makes it valid
+@pytest.mark.parametrize("config_params,flag,value", [
+    ({"rms_hop": 4096}, "--rms-frame-size", 8192),
+    ({"eq_smooth_window": 4}, "--eq-smooth-window", 5),
+], ids=["hop past the config frame", "even config window"])
+def test_build_checks_the_config_params_after_the_flags_replace_them(
+        tmp_path, wav_pair, capsys, config_params, flag, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"augment_params": config_params}))
+    pairs = _pairs_file(tmp_path, wav_pair, n=1)
+    out = tmp_path / "out"
+    argv = ["build", str(pairs), "--out-dir", str(out), "--config", str(config)]
+    assert main(argv) == 2
+    assert not (out / "manifest.jsonl").exists()
+    assert main(argv + [flag, str(value)]) == 0
+    params = json.loads((out / "manifest.jsonl").read_text())["params"]
+    assert params == {**dataclasses.asdict(AugmentParams()), **config_params,
+                      flag[2:].replace("-", "_"): value}
+
+
 def test_build_unwritable_manifest_is_an_error_line(tmp_path, wav_pair, capsys):
     pairs = _pairs_file(tmp_path, wav_pair, n=2)
     out = tmp_path / "out"
@@ -482,7 +502,8 @@ def test_embed_mock_reports_failures_in_sorted_clip_order(tmp_path, rng, capsys)
     assert cap.err.splitlines() == [
         f"failed b.wav: {audio_dir / 'b.wav'}: not a RIFF/WAVE file",
         f"failed c.wav: {audio_dir / 'c.wav'}: waveform has a non-finite sample",
-        f"failed d.wav: {out / 'd.mxeb'}: Is a directory",
+        f"failed d.wav: {out / 'd.mxeb'}: [Errno 21] Is a directory: "
+        f"'{out / 'd.mxeb.tmp'}' -> '{out / 'd.mxeb'}'",
         "failed e.wav: need at least 3072 samples for 3 frames, got 2000",
     ]
     assert cap.out == "5 entries written\n"
@@ -926,6 +947,13 @@ def test_embed_mock_out_store_is_a_file(tmp_path, wav_pair, capsys):
     assert out.read_text() == "a file"
 
 
+def test_embed_mock_audio_dir_that_does_not_exist_is_usage_error(tmp_path, capsys):
+    audio_dir, out = tmp_path / "gone", tmp_path / "st"
+    assert main(["embed-mock", str(audio_dir), "--out-store", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: not a directory: {audio_dir}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry", ["c1.audio", "c1.lat", "c1.pr"])
 def test_eval_non_finite_entry_excludes_clip(tmp_path, rng, capsys, entry):
     store, clips_path, ref_path = _eval_setup(tmp_path, rng)
@@ -955,6 +983,18 @@ def test_eval_malformed_store_index(tmp_path, rng, capsys):
                  "--reference", str(ref_path)]) == 2
     cap = capsys.readouterr()
     assert cap.err.startswith("error: ") and cap.out == ""
+
+
+def test_eval_unreadable_store_index_is_usage_error(tmp_path, rng, capsys):
+    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    index = store.root / "index.json"
+    index.unlink()
+    index.mkdir()
+    assert main(["eval", str(clips_path), "--store", str(store.root),
+                 "--reference", str(ref_path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.err == f"error: {index}: [Errno 21] Is a directory: '{index}'\n"
+    assert cap.out == ""
 
 
 @pytest.mark.parametrize("kind", ["missing", "file", "empty directory"])
@@ -1084,6 +1124,11 @@ EXIT_CASES = {
     "fractional frame size": ("build", "config.json",
                               '{"augment_params": {"rms_frame_size": 2048.5}}', [], 2,
                               "rms_frame_size must be int"),
+    "hop past the frame": ("build", None, None, ["--rms-hop", "4096"], 2,
+                           "need rms_frame_size >= rms_hop >= 1"),
+    "zero epsilon": ("build", None, None, ["--epsilon", "0"], 2, "epsilon must be positive"),
+    "output peak past 1": ("build", None, None, ["--output-peak", "1.5"], 2,
+                           "output_peak must be in (0, 1]"),
     "nan epsilon": ("build", None, None, ["--epsilon", "nan"], 2, "epsilon must be finite"),
     "inf epsilon": ("build", None, None, ["--epsilon", "inf"], 2, "epsilon must be finite"),
     "augment nan epsilon": ("augment", None, None, ["--epsilon", "nan"], 2,

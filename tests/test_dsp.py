@@ -621,3 +621,20 @@ def test_public_stage_float32_overflow_is_non_finite_input_without_a_warning(sta
         warnings.simplefilter("error")
         with pytest.raises(errors.NonFiniteInput):
             stage()
+
+
+@pytest.mark.parametrize("call,error,text", [
+    (lambda: equal_power_mix(make_wave([1.0, 2.0]), make_wave([1.0, 2.0, 3.0])),
+     errors.LengthMismatch, "lengths differ: 2 vs 3"),
+    (lambda: loop_or_truncate(make_wave([1.0]), 0), ValueError, "target_len must be >= 1"),
+    (lambda: eq_curve([1.0] * 3, [1.0] * 3, 4, fft_size=4), ValueError, "must be odd"),
+    (lambda: eq_curve([1.0] * 3, [1.0] * 2, 1, fft_size=4), errors.LengthMismatch,
+     "shapes differ"),
+    (lambda: spectral_target([1.0] * 3, [1.0] * 2), errors.LengthMismatch, "shapes differ"),
+    (lambda: dsp.EqCurve(np.ones(4), fft_size=4), ValueError, "expected 3 gains"),
+], ids=["equal_power_mix of two lengths", "loop_or_truncate to 0", "eq_curve even window",
+        "eq_curve mismatched shapes", "spectral_target mismatched shapes",
+        "EqCurve of the wrong length"])
+def test_stage_input_checks(call, error, text):
+    with pytest.raises(error, match=text):
+        call()

@@ -326,3 +326,25 @@ def test_csv_and_markdown_agree():
 def test_render_empty_raises():
     with pytest.raises(errors.MorphmixError):
         render_report([], fmt="csv")
+
+
+def test_render_unknown_format_raises():
+    with pytest.raises(ValueError, match="unknown format 'html'"):
+        render_report([_row("a")], fmt="html")
+
+
+def test_evaluate_no_clips_is_empty_input(tmp_path, rng):
+    reference = gaussian_stats([Embedding(rng.normal(size=8)) for _ in range(5)])
+    with pytest.raises(errors.EmptyInput, match="no clips"):
+        evaluate_corpus([], EmbeddingStore(tmp_path), reference)
+
+
+def test_evaluate_every_clip_excluded_is_empty_input(tmp_path, rng):
+    store, clips, _ = _populate(tmp_path, rng, n_clips=2)
+    for clip in clips:  # constant latents make LCS fail
+        store.put(clip.latents_id, np.ones((12, 8)))
+    reference = gaussian_stats([store.embedding(c.audio_id) for c in clips])
+    seen = []
+    with pytest.raises(errors.EmptyInput, match="every clip failed"):
+        evaluate_corpus(clips, store, reference, on_error=lambda cid, e: seen.append(cid))
+    assert seen == ["clip0", "clip1"]

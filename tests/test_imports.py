@@ -1,6 +1,6 @@
 """Every name a module of src/morphmix imports is used in that module, every
-private module-level helper is read somewhere in src/morphmix, and the CLI runs
-without scipy.
+private module-level helper is read somewhere in src/morphmix, only errors.py
+writes files, and the CLI runs without scipy.
 
 No linter runs on this code, so a deletion can leave a dead import or helper behind.
 """
@@ -76,6 +76,44 @@ def test_dead_helpers_finds_an_unread_helper():
 def test_every_private_helper_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert dead_helpers(sources) == []
+
+
+def file_writers(source):
+    """The line numbers of the calls in source that can write a file: an open (the
+    builtin, io's or a path's) whose mode writes, appends, creates or updates, or is
+    not a string literal; os.open; .write_bytes and .write_text."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = getattr(getattr(func, "value", None), "id", None)
+        if name in ("write_bytes", "write_text") or (name == "open" and owner == "os"):
+            lines.append(node.lineno)
+        elif name == "open":
+            # open(file, mode) and io.open(file, mode), but a path's open(mode)
+            at = 1 if isinstance(func, ast.Name) or owner in ("io", "builtins") else 0
+            modes = node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not isinstance(mode, ast.Constant) or not isinstance(mode.value, str) \
+                    or set(mode.value) & set("wax+"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_file_writers_finds_each_way_to_write_a_file():
+    source = ("open(p)\nopen(p, 'rb')\nopen(p, 'wb')\nopen(p, mode='a')\nio.open(p, 'x')\n"
+              "path.open('r+')\npath.open()\nopen(p, m)\nos.open(p, 0)\np.write_bytes(b)\n"
+              "p.write_text(t)\nf.write(b)\np.read_text()\n")
+    assert file_writers(source) == [3, 4, 5, 6, 8, 9, 10, 11]
+
+
+def test_only_errors_writes_files():
+    # errors.write_atomic is the one writer: the temp file, then a rename over the target
+    writers = {p.name: file_writers(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert writers.pop("errors.py") != []
+    assert {name: lines for name, lines in writers.items() if lines} == {}
 
 
 # scipy.fft's plan cache made a 240,007-point FFT about 1.7x faster with the same

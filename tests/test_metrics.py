@@ -513,3 +513,15 @@ def test_blocked_logmel_every_block_remainder(rng, channels):
         got = metrics._logmel_frames(w, 32, 2048, 512)
         assert got.shape == (n_frames, 32)
         assert np.array_equal(got, per_frame_logmel(w, 32, 2048, 512)), n_frames
+
+
+@pytest.mark.parametrize("call,error,text", [
+    (lambda: frechet_distance(GaussianStats([0.0], [[1.0]]), GaussianStats([0.0, 0.0], np.eye(2))),
+     errors.DimMismatch, "dims differ: 1 vs 2"),
+    (lambda: spearman_rho([1.0, 2.0], [2.0, 1.0]), errors.LengthMismatch, "at least 3 points"),
+    (lambda: roc_auc([0.1, 0.2, 0.3], [1, 0]), errors.LengthMismatch, "shapes differ"),
+], ids=["frechet_distance of two dims", "spearman_rho of 2 points",
+        "roc_auc of mismatched shapes"])
+def test_metric_input_checks(call, error, text):
+    with pytest.raises(error, match=text):
+        call()

@@ -22,6 +22,8 @@ from morphmix.store import (
     write_mxeb,
 )
 
+from conftest import run_python
+
 
 def test_mxeb_header_layout(tmp_path):
     path = tmp_path / "m.mxeb"
@@ -273,6 +275,29 @@ def test_read_mxeb_unreadable_path_is_io_failure(tmp_path):
         read_mxeb(tmp_path)  # a directory
 
 
+def test_reput_cut_short_by_the_file_size_limit_keeps_the_previous_entry(tmp_path):
+    # a fresh interpreter, so the 4096-byte file size limit ends with it; with
+    # SIGXFSZ ignored, a write past the limit fails with EFBIG part-way through
+    # the 16,397-byte entry
+    out = run_python(f"""
+import resource, signal
+import numpy as np
+from morphmix.errors import IoFailure
+from morphmix.store import EmbeddingStore
+store = EmbeddingStore({str(tmp_path)!r})
+store.put("a", np.arange(8.0)[None, :])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    store.put("a", np.ones((1, 4096)))
+except IoFailure as e:
+    print(type(e).__name__, "File too large" in str(e))
+print(EmbeddingStore({str(tmp_path)!r}).embedding("a").values.tolist())
+""")
+    assert out == "IoFailure True\n" + str([float(k) for k in range(8)]) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.mxeb", "index.json"]
+
+
 # float32 NaN, +inf and -inf, and a signalling NaN with payload bits
 _NON_FINITE_WORDS = ([struct.pack("<f", x) for x in (np.nan, np.inf, -np.inf)]
                      + [b"\x01\x00\xa0\x7f"])
@@ -401,6 +426,12 @@ def test_typed_readers_return_finite_arrays_of_the_declared_shape_or_bad_format(
 def test_malformed_index_is_bad_format(tmp_path, index):
     (tmp_path / "index.json").write_text(index)
     with pytest.raises(errors.BadFormat, match="index.json"):
+        EmbeddingStore(tmp_path)
+
+
+def test_unreadable_index_is_io_failure(tmp_path):
+    (tmp_path / "index.json").mkdir()
+    with pytest.raises(errors.IoFailure, match="index.json: .*Is a directory"):
         EmbeddingStore(tmp_path)
 
 
