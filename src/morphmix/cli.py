@@ -18,7 +18,7 @@ from pathlib import Path
 from . import dataset, evaluate, metrics, store
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
-from .errors import MorphmixError, TooShort, read_bytes, write_atomic
+from .errors import MorphmixError, TooShort, make_dirs, read_bytes, write_atomic
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -49,14 +49,6 @@ def _require_utf8(flag, text):
         text.encode("utf-8")
     except UnicodeEncodeError:
         raise UsageError(f"{flag} must be UTF-8 text, got {text!r}") from None
-
-
-def _make_dir(path):
-    """Create path and its parents; UsageError if a file is in the way."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except FileExistsError:
-        raise UsageError(f"not a directory: {path}") from None
 
 
 def load_config(args):
@@ -104,14 +96,13 @@ def cmd_augment(args):
 
 def cmd_build(args):
     with _reading_inputs():
-        _require_files(args.pairs)
         if args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         params, dist, window, seed = load_config(args)
         seed = seed if args.seed is None else args.seed
         pairs = dataset.load_pairs(args.pairs)
         dataset.check_pair_ids(pairs)
-        _make_dir(Path(args.out_dir) / "audio")
+        make_dirs(Path(args.out_dir) / "audio")
     entries = dataset.build_dataset(pairs, dist, window, params, seed, args.out_dir, jobs=args.jobs)
     failed = [e for e in entries if e.failed]
     print(f"{len(entries) - len(failed)} built, {len(failed)} failed")
@@ -152,7 +143,7 @@ def cmd_embed_mock(args):
             if f"{p.stem}.latents" in stems:  # its latents would overwrite that clip's entry
                 raise UsageError(f"{p.name} and {p.stem}.latents.wav both name "
                                  f"store entry {p.stem}.latents")
-        _make_dir(Path(args.out_store))
+        make_dirs(Path(args.out_store))
         out = store.EmbeddingStore(args.out_store)
     embed = functools.partial(_embed_clip, dim=args.dim,
                               latent_dim=args.latent_dim if args.latents else None)
@@ -187,7 +178,6 @@ def cmd_embed_mock(args):
 
 def cmd_eval(args):
     with _reading_inputs():
-        _require_files(args.clips, args.reference)
         clips = evaluate.load_eval_clips(args.clips)
         if not Path(args.store).is_dir():  # a missing store is not an empty one
             raise UsageError(f"not a directory: {args.store}")

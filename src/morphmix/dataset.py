@@ -8,6 +8,7 @@ draw sequence of any pair.
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ import numpy as np
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
 from .errors import (BadId, EmptyLabel, InvalidDistribution, MorphmixError, check_fields,
-                     check_id, write_atomic)
+                     check_id, make_dirs, read_bytes, write_atomic)
 
 CAPTION_TEMPLATES = {
     AugmentationMode.RMS_ONLY: "The behavior of {x} with textures from {x} and {y}",
@@ -140,9 +141,22 @@ def sample_training_timestep(rng, entry):
 
 
 def read_jsonl(path):
-    """The objects of a JSON-lines file, one per non-blank line."""
-    with open(path, encoding="utf-8") as f:
-        return [json.loads(line) for line in f if line.strip()]
+    """The objects of a JSON-lines file, one per non-blank line: IoFailure if the file
+    cannot be read, ValueError naming path:line for a line that is not a JSON object."""
+    # newline=None: a \r or \r\n ends a line, as in a file opened as text, but U+2028 does not
+    lines = io.StringIO(read_bytes(path).decode("utf-8"), newline=None)
+    records = []
+    for n, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as e:
+            raise ValueError(f"{path}:{n}: {e}") from e
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{n}: not a JSON object")
+        records.append(record)
+    return records
 
 
 def load_pairs(path):
@@ -221,7 +235,7 @@ def build_dataset(pairs, dist, window, params, seed, out_dir, jobs=1):
     check_pair_ids(pairs)
     out_dir = Path(out_dir)
     audio_dir = out_dir / "audio"
-    audio_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(audio_dir)
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         entries = list(pool.map(

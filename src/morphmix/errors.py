@@ -1,11 +1,13 @@
 """Exception hierarchy shared across the package, the id and record field checks,
-and the whole-file read and atomic write behind IoFailure."""
+and the package's only file-system calls: the whole-file read, the atomic write and
+the directory make behind IoFailure."""
 
 import contextlib
 import dataclasses
 import io
 import math
 import os
+from pathlib import Path
 
 
 class MorphmixError(Exception):
@@ -184,4 +186,14 @@ def write_atomic(path, *chunks):
     except (OSError, ValueError) as e:  # ValueError: as in read_bytes
         with contextlib.suppress(OSError, ValueError):
             os.unlink(tmp)
+        raise IoFailure(f"{path}: {e}") from e
+
+
+def make_dirs(path):
+    """Make the directory path and its parents; IoFailure if one cannot be made."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except FileExistsError:  # with exist_ok, a file or other non-directory is at path
+        raise IoFailure(f"not a directory: {path}") from None
+    except (OSError, ValueError) as e:  # ValueError: as in read_bytes
         raise IoFailure(f"{path}: {e}") from e

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadFormat, BadId, IoFailure, MissingEmbedding, MorphmixError, check_id,
+from .errors import (BadFormat, BadId, MissingEmbedding, MorphmixError, check_id, make_dirs,
                      read_bytes, write_atomic)
 from .metrics import Embedding, GaussianStats, LatentMatrix
 
@@ -134,7 +134,7 @@ class EmbeddingStore:
             raise BadId(f"store id must be a string, got {entry_id!r}")
         check_id(entry_id)
         if not self._batch_depth:  # batch() made the root on entry
-            self._make_root()
+            make_dirs(self.root)
         filename = f"{entry_id}.mxeb"
         write_mxeb(self.root / filename, matrix)
         self._index[entry_id] = filename
@@ -153,7 +153,7 @@ class EmbeddingStore:
         writes cover it.
         """
         if not self._batch_depth:
-            self._make_root()
+            make_dirs(self.root)
             self._flush()
         self._batch_depth += 1
         try:
@@ -162,12 +162,6 @@ class EmbeddingStore:
             self._batch_depth -= 1
             if not self._batch_depth:
                 self._flush()
-
-    def _make_root(self):
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as e:  # say, a file in its place or on its path
-            raise IoFailure(f"{self.root}: {e}") from e
 
     def _flush(self):
         """Replace index.json atomically: readers see the old index or the new one.

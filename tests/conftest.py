@@ -47,6 +47,11 @@ def float_wav(path, frames):
     raw_wav(path, frames.tobytes(), frames.shape[1] if frames.ndim == 2 else 1)
 
 
+def file_tree(root):
+    """Every path under root, with its bytes if it is a file."""
+    return {f.relative_to(root): f.is_file() and f.read_bytes() for f in root.rglob("*")}
+
+
 def make_wave(samples, sr=48000):
     return Waveform(np.asarray(samples, dtype=np.float32), sr)
 

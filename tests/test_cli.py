@@ -25,7 +25,7 @@ from morphmix.dsp import AugmentParams
 from morphmix.metrics import Embedding, gaussian_stats, mock_embed, mock_latents
 from morphmix.store import EmbeddingStore, read_gaussian_stats, write_gaussian_stats, write_mxeb
 
-from conftest import float_wav, fresh_python, per_frame_logmel, random_wave
+from conftest import file_tree, float_wav, fresh_python, per_frame_logmel, random_wave
 
 
 @pytest.fixture
@@ -911,7 +911,7 @@ def test_build_audio_path_that_cannot_name_a_file_fails_its_pair(tmp_path, name)
 @pytest.mark.parametrize("fmt", ["csv", "markdown"])
 def test_eval_model_name_that_is_not_utf8_writes_no_report(tmp_path, rng, capsys, fmt):
     store, clips_path, ref_path = _eval_setup(tmp_path, rng)
-    before = _tree(tmp_path)
+    before = file_tree(tmp_path)
     # a command-line byte that is not UTF-8 reaches Python as a lone surrogate
     assert main(["eval", str(clips_path), "--store", str(store.root), "--reference",
                  str(ref_path), "--format", fmt, "--model-name", "ab\udcff",
@@ -919,7 +919,7 @@ def test_eval_model_name_that_is_not_utf8_writes_no_report(tmp_path, rng, capsys
     cap = capsys.readouterr()
     assert cap.err.startswith("error: --model-name must be UTF-8 text")
     assert cap.out == ""
-    assert _tree(tmp_path) == before
+    assert file_tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("where", ["out_dir", "audio"])
@@ -1075,11 +1075,6 @@ def _argv(command, root):
     }[command]
 
 
-def _tree(root):
-    """Every path under root, with its bytes if it is a file."""
-    return {f.relative_to(root): f.is_file() and f.read_bytes() for f in root.rglob("*")}
-
-
 def _edit(path, change):
     """Replace a file's text (str), update its first JSON object (dict), or make it a directory."""
     if change is None:
@@ -1172,6 +1167,14 @@ EXIT_CASES = {
                               [], 2, "need D >= 1 and a D x D covariance"),
     "unwritable store index": ("embed-mock", "store/index.json.tmp", None, [], 1,
                                "index.json"),
+    "pairs line that is not JSON": ("build", "pairs.jsonl", "{not json\n", [], 2,
+                                    "pairs.jsonl:1: "),
+    "pairs line that is not an object": ("build", "pairs.jsonl", "[1]\n", [], 2,
+                                         "pairs.jsonl:1: not a JSON object"),
+    "clips line that is not JSON": ("eval", "clips.jsonl", "{not json\n", [], 2,
+                                    "clips.jsonl:1: "),
+    "clips line that is not an object": ("eval", "clips.jsonl", "[1]\n", [], 2,
+                                         "clips.jsonl:1: not a JSON object"),
 }
 
 
@@ -1181,13 +1184,27 @@ def test_bad_input_exit_code(tmp_path, capsys, case):
     _write_inputs(tmp_path)
     if name is not None:
         _edit(tmp_path / name, change)
-    before = _tree(tmp_path)
+    before = file_tree(tmp_path)
     assert main([str(a) for a in _argv(command, tmp_path)] + flags) == code
     cap = capsys.readouterr()
     assert cap.err.startswith("error: ") and len(cap.err.splitlines()) == 1
     assert text in cap.err
     assert cap.out == ""
-    assert _tree(tmp_path) == before
+    assert file_tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, name", [("build", "pairs.jsonl"), ("eval", "clips.jsonl"),
+                                           ("eval", "ref.mxeb")])
+def test_missing_input_file_is_usage_error(tmp_path, capsys, command, name):
+    _write_inputs(tmp_path)
+    (tmp_path / name).unlink()
+    before = file_tree(tmp_path)
+    assert main([str(a) for a in _argv(command, tmp_path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error: ") and len(cap.err.splitlines()) == 1
+    assert str(tmp_path / name) in cap.err
+    assert cap.out == ""
+    assert file_tree(tmp_path) == before
 
 
 JSON_TOKENS = [b"null", b"0", b"-1", b"1e400", b"NaN", b"-Infinity", b"[]", b"{}", b'""',

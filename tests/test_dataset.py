@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,12 +26,14 @@ from morphmix.dataset import (
     load_pairs,
     pair_rng,
     pair_seed,
+    read_jsonl,
     sample_mode,
     sample_training_timestep,
 )
 from morphmix.dsp import AugmentParams, AugmentationMode
+from morphmix.evaluate import load_eval_clips
 
-from conftest import HalfWriter, float_wav, random_wave
+from conftest import HalfWriter, file_tree, float_wav, random_wave
 
 THREE_WAY = ModeDistribution(1 / 3, 1 / 3, 1 / 3, 0.0)
 
@@ -332,6 +335,46 @@ def test_load_pairs_roundtrip(tmp_path):
         for p in pairs:
             f.write(json.dumps(p.__dict__) + "\n")
     assert load_pairs(path) == pairs
+
+
+@pytest.mark.parametrize("blocker", ["out_dir", "audio"])
+def test_build_dataset_out_dir_blocked_by_a_file_is_io_failure(tmp_path, blocker):
+    p0, = _write_corpus(tmp_path, 1)
+    out = tmp_path / "out"
+    if blocker == "out_dir":
+        out.write_text("a file")
+    else:
+        out.mkdir()
+        (out / "audio").write_text("a file")
+    before = file_tree(tmp_path)
+    with pytest.raises(errors.IoFailure) as info:
+        build_dataset([p0], THREE_WAY, TimestepWindow(), AugmentParams(), 5, out)
+    assert str(out / "audio") in str(info.value)
+    assert file_tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("name", ["", "gone.jsonl"])  # the directory itself, a missing file
+@pytest.mark.parametrize("load", [load_pairs, load_eval_clips])
+def test_loading_a_directory_or_a_missing_file_is_io_failure(tmp_path, load, name):
+    with pytest.raises(errors.IoFailure, match=re.escape(str(tmp_path / name))):
+        load(tmp_path / name)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_read_jsonl_ends_a_line_at_each_newline_but_not_at_u2028(tmp_path, end):
+    path = tmp_path / "a.jsonl"
+    path.write_bytes(end.join(['{"a": "x\u2028y"}', "", '{"a": 2}', ""]).encode("utf-8"))
+    assert read_jsonl(path) == [{"a": "x\u2028y"}, {"a": 2}]
+
+
+@pytest.mark.parametrize("line, text", [("{not json", "Expecting property name"),
+                                        ("[1]", "not a JSON object"),
+                                        ("7", "not a JSON object")])
+def test_read_jsonl_names_the_path_and_line_of_a_bad_line(tmp_path, line, text):
+    path = tmp_path / "a.jsonl"
+    path.write_text(f'{{"a": 1}}\n\n{line}\n{{"a": 2}}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {text}"):
+        read_jsonl(path)
 
 
 def test_pair_rng_stable_across_processes():

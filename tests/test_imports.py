@@ -1,6 +1,7 @@
 """Every name a module of src/morphmix imports is used in that module, every
 private module-level helper is read somewhere in src/morphmix, only errors.py
-writes files, and the CLI runs without scipy.
+reads, writes, makes, renames or deletes a file or directory, and the CLI runs
+without scipy.
 
 No linter runs on this code, so a deletion can leave a dead import or helper behind.
 """
@@ -102,11 +103,44 @@ def file_writers(source):
     return sorted(lines)
 
 
+# any call of these as a method or a module's function opens, reads, writes, makes or
+# deletes a file or directory
+FILE_METHODS = {"open", "FileIO", "read_bytes", "read_text", "write_bytes", "write_text",
+                "mkdir", "unlink"}
+# these only as os's: str has a replace
+OS_FUNCTIONS = {"makedirs", "replace", "rename", "remove"}
+
+
+def file_system_calls(source):
+    """The line numbers of the calls in source that open, read, write, make, rename or
+    delete a file or directory: open and FileIO, a FILE_METHODS method or an
+    OS_FUNCTIONS function of os. A bare read_bytes(p) is errors' reader, not a path's."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            hit = func.id in ("open", "FileIO")
+        else:
+            owner = getattr(getattr(func, "value", None), "id", None)
+            name = getattr(func, "attr", None)
+            hit = name in FILE_METHODS or (owner == "os" and name in OS_FUNCTIONS)
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_file_writers_finds_each_way_to_write_a_file():
     source = ("open(p)\nopen(p, 'rb')\nopen(p, 'wb')\nopen(p, mode='a')\nio.open(p, 'x')\n"
               "path.open('r+')\npath.open()\nopen(p, m)\nos.open(p, 0)\np.write_bytes(b)\n"
-              "p.write_text(t)\nf.write(b)\np.read_text()\n")
+              "p.write_text(t)\nf.write(b)\np.read_text()\n"
+              "io.FileIO(p)\np.read_bytes()\np.mkdir()\nos.mkdir(p)\nos.makedirs(p)\n"
+              "os.replace(a, b)\nos.rename(a, b)\nos.remove(p)\nos.unlink(p)\np.unlink()\n"
+              "s.replace(a, b)\nread_bytes(p)\n")
     assert file_writers(source) == [3, 4, 5, 6, 8, 9, 10, 11]
+    # every line but f.write(b), a write to an open file, and the str and errors calls
+    assert file_system_calls(source) == [n for n in range(1, 24) if n != 12]
 
 
 def test_only_errors_writes_files():
@@ -114,6 +148,13 @@ def test_only_errors_writes_files():
     writers = {p.name: file_writers(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert writers.pop("errors.py") != []
     assert {name: lines for name, lines in writers.items() if lines} == {}
+
+
+def test_only_errors_reads_files_and_makes_directories():
+    # errors.read_bytes, write_atomic and make_dirs are the only file-system boundary
+    calls = {p.name: file_system_calls(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert calls.pop("errors.py") != []
+    assert {name: lines for name, lines in calls.items() if lines} == {}
 
 
 # scipy.fft's plan cache made a 240,007-point FFT about 1.7x faster with the same
