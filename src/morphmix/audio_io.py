@@ -29,6 +29,8 @@ _FMT_EXTENSIBLE = 0xFFFE
 _KSDATAFORMAT_TAIL = bytes.fromhex("0000 1000 8000 00aa00389b71")
 _PCM24 = np.dtype([("lo", "<u2"), ("hi", "i1")])
 
+_waveform_reports = np.errstate(over="ignore", invalid="ignore")  # the Waveform reports inf/NaN
+
 
 @dataclass(frozen=True)
 class Waveform:
@@ -97,6 +99,7 @@ def _extensible_subformat(path, fmt):
     return tag
 
 
+@_waveform_reports  # a signalling NaN sample raises numpy's invalid flag in the scaling
 def load_wav(path):
     """Decode a WAV file into a Waveform.
 

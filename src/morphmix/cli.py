@@ -12,13 +12,12 @@ import dataclasses
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import dataset, evaluate, metrics, store
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
-from .errors import MorphmixError, TooShort, make_dirs, read_bytes, write_atomic
+from .errors import MorphmixError, TooShort, make_dirs, read_text, write_atomic
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -55,7 +54,7 @@ def load_config(args):
     """The --config JSON object's typed values; AugmentParams checks its merge with the flags."""
     raw = {}
     if args.config:
-        raw = json.loads(read_bytes(args.config).decode("utf-8"))
+        raw = json.loads(read_text(args.config))
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
     params = AugmentParams(**{**raw.get("augment_params", {}), **{
@@ -148,6 +147,9 @@ def cmd_embed_mock(args):
     embed = functools.partial(_embed_clip, dim=args.dim,
                               latent_dim=args.latent_dim if args.latents else None)
     failures = written = 0
+    # here, not at the top: it loads logging too, and eval starts no thread
+    from concurrent.futures import ThreadPoolExecutor
+
     # one worker embeds the next clips while this thread writes and reports each clip
     # in sorted order: put's file creates and numpy's loops release the GIL, so the
     # two overlap. The pool stops before batch() writes the index.

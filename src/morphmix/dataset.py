@@ -7,11 +7,9 @@ draw sequence of any pair.
 """
 
 import dataclasses
-import hashlib
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +18,7 @@ import numpy as np
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
 from .errors import (BadId, EmptyLabel, InvalidDistribution, MorphmixError, check_fields,
-                     check_id, make_dirs, read_bytes, write_atomic)
+                     check_id, make_dirs, read_text, write_atomic)
 
 CAPTION_TEMPLATES = {
     AugmentationMode.RMS_ONLY: "The behavior of {x} with textures from {x} and {y}",
@@ -105,6 +103,7 @@ class ManifestEntry:
 
 def pair_seed(seed, pair_id):
     """Derive a per-pair sub-seed by hashing (seed, pair id)."""
+    import hashlib  # here, not at the top: it loads OpenSSL (3.6 MB), and only build hashes
     digest = hashlib.sha256(f"{seed}:{pair_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -141,10 +140,10 @@ def sample_training_timestep(rng, entry):
 
 
 def read_jsonl(path):
-    """The objects of a JSON-lines file, one per non-blank line: IoFailure if the file
-    cannot be read, ValueError naming path:line for a line that is not a JSON object."""
+    """The objects of a JSON-lines file, one per non-blank line: read_text's errors, and
+    ValueError naming path:line for a line that is not a JSON object."""
     # newline=None: a \r or \r\n ends a line, as in a file opened as text, but U+2028 does not
-    lines = io.StringIO(read_bytes(path).decode("utf-8"), newline=None)
+    lines = io.StringIO(read_text(path), newline=None)
     records = []
     for n, line in enumerate(lines, 1):
         if not line.strip():
@@ -236,6 +235,9 @@ def build_dataset(pairs, dist, window, params, seed, out_dir, jobs=1):
     out_dir = Path(out_dir)
     audio_dir = out_dir / "audio"
     make_dirs(audio_dir)
+
+    # here, not at the top: it loads logging too, and eval starts no thread
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         entries = list(pool.map(

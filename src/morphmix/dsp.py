@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .audio_io import Waveform, to_mono
+from .audio_io import Waveform, _waveform_reports, to_mono
 from .errors import (
     LengthMismatch,
     SampleRateMismatch,
@@ -22,8 +22,6 @@ from .errors import (
     SizeMismatch,
     check_fields,
 )
-
-_waveform_reports = np.errstate(over="ignore", invalid="ignore")  # the Waveform reports inf/NaN
 
 
 class AugmentationMode(enum.Enum):

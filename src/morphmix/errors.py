@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, the id and record field checks,
-and the package's only file-system calls: the whole-file read, the atomic write and
+and the package's only file-system calls: the whole-file reads, the atomic write and
 the directory make behind IoFailure."""
 
 import contextlib
@@ -121,7 +121,7 @@ class TooShort(MorphmixError):
 # --- store / evaluator ---
 
 class BadFormat(MorphmixError):
-    """MXEB file malformed."""
+    """MXEB file or store index malformed, or a text file that is not UTF-8."""
 
 
 class MissingEmbedding(MorphmixError):
@@ -169,6 +169,15 @@ def read_bytes(path):
             return f.read()
     except (OSError, ValueError) as e:  # ValueError: a path with a NUL or a lone surrogate
         raise IoFailure(f"{path}: {e}") from e
+
+
+def read_text(path):
+    """The UTF-8 text of the file at path; IoFailure if it cannot be read, BadFormat
+    naming path if its bytes are not UTF-8."""
+    try:
+        return read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise BadFormat(f"{path}: not UTF-8 text: {e}") from e
 
 
 def write_atomic(path, *chunks):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (BadFormat, BadId, MissingEmbedding, MorphmixError, check_id, make_dirs,
-                     read_bytes, write_atomic)
+                     read_bytes, read_text, write_atomic)
 from .metrics import Embedding, GaussianStats, LatentMatrix
 
 MAGIC = b"MXEB"
@@ -98,8 +98,8 @@ class EmbeddingStore:
         index_path = self.root / self.INDEX
         if index_path.exists():
             try:
-                index = json.loads(read_bytes(index_path).decode("utf-8"))
-            except ValueError as e:  # not JSON, not UTF-8, or an int past 4,300 digits
+                index = json.loads(read_text(index_path))
+            except ValueError as e:  # not JSON, or an int past 4,300 digits
                 raise BadFormat(f"{index_path}: not a JSON index: {e}") from e
             entries = index.get("entries") if isinstance(index, dict) else None
             if not (isinstance(entries, dict)

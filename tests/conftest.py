@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from morphmix import metrics
 from morphmix.audio_io import Waveform, to_mono
+from morphmix.store import EmbeddingStore, write_gaussian_stats
 
 
 def fresh_python(*args):
@@ -50,6 +52,33 @@ def float_wav(path, frames):
 def file_tree(root):
     """Every path under root, with its bytes if it is a file."""
     return {f.relative_to(root): f.is_file() and f.read_bytes() for f in root.rglob("*")}
+
+
+def eval_inputs(root, rng, n_clips=3):
+    """An eval store of n_clips clips under root/store, root/clips.jsonl naming their
+    entries, and root/ref.mxeb, the Gaussian stats of their audio embeddings."""
+    store = EmbeddingStore(root / "store")
+    clips = []
+    pooled = []
+    for i in range(n_clips):
+        cid = f"c{i}"
+        vecs = {k: rng.uniform(0.1, 1.0, 8) for k in ("audio", "tx", "ty", "pi", "pr")}
+        for k, v in vecs.items():
+            store.put(f"{cid}.{k}", v[None, :])
+        store.put(f"{cid}.lat", rng.normal(size=(10, 8)))
+        pooled.append(metrics.Embedding(vecs["audio"]))
+        clips.append({
+            "clip_id": cid, "audio_id": f"{cid}.audio", "latents_id": f"{cid}.lat",
+            "text_x_id": f"{cid}.tx", "text_y_id": f"{cid}.ty",
+            "prompt_intended_id": f"{cid}.pi", "prompt_reversed_id": f"{cid}.pr",
+        })
+    clips_path = root / "clips.jsonl"
+    with open(clips_path, "w") as f:
+        for c in clips:
+            f.write(json.dumps(c) + "\n")
+    ref_path = root / "ref.mxeb"
+    write_gaussian_stats(ref_path, metrics.gaussian_stats(pooled))
+    return store, clips_path, ref_path
 
 
 def make_wave(samples, sr=48000):

@@ -197,7 +197,10 @@ def test_pcm24_decode_matches_bytewise_reference(codes, tail, channels):
     (32, np.nan, errors.NonFiniteInput),
     (32, np.inf, errors.NonFiniteInput),
     (32, -np.inf, errors.NonFiniteInput),
-], ids=["16-bit-empty", "24-bit-empty", "32-bit-empty", "nan", "+inf", "-inf"])
+    # scaling it raises numpy's invalid flag, an error under pytest's warning filters
+    (32, np.array(0x7FA00000, "<u4").view("<f4"), errors.NonFiniteInput),
+], ids=["16-bit-empty", "24-bit-empty", "32-bit-empty", "nan", "+inf", "-inf",
+        "signalling-nan"])
 def test_wav_without_samples_or_with_a_non_finite_one_names_its_file(
         tmp_path, bits, sample, error, channels):
     path = tmp_path / "a.wav"
@@ -205,7 +208,7 @@ def test_wav_without_samples_or_with_a_non_finite_one_names_its_file(
         raw_wav(path, b"", channels, bits)
     else:
         frames = np.full((3, channels), 0.25, dtype="<f4")
-        frames[1, -1] = sample
+        frames[1, -1] = sample  # a float32 copy keeps a signalling NaN's bits
         float_wav(path, frames)
     with pytest.raises(error, match=re.escape(str(path))):
         load_wav(path)

@@ -25,7 +25,8 @@ from morphmix.dsp import AugmentParams
 from morphmix.metrics import Embedding, gaussian_stats, mock_embed, mock_latents
 from morphmix.store import EmbeddingStore, read_gaussian_stats, write_gaussian_stats, write_mxeb
 
-from conftest import file_tree, float_wav, fresh_python, per_frame_logmel, random_wave
+from conftest import (eval_inputs, file_tree, float_wav, fresh_python, per_frame_logmel,
+                      random_wave)
 
 
 @pytest.fixture
@@ -681,6 +682,32 @@ def test_float32_overflow_is_reported_once_by_a_fresh_cli(tmp_path, wav_pair, wa
 
 @pytest.mark.parametrize("warning_flags", [[], ["-W", "error::RuntimeWarning"]],
                          ids=["default-filters", "warnings-as-errors"])
+def test_signalling_nan_wav_is_reported_once_by_a_fresh_cli(tmp_path, wav_pair, warning_flags):
+    # load_wav's scaling raises numpy's invalid flag on a signalling NaN: the warning once
+    # printed beside the NonFiniteInput line, and as an error ended build and embed-mock
+    # in a traceback
+    audio = tmp_path / "clips"
+    audio.mkdir()
+    p = audio / "snan.wav"
+    frames = np.full(64, 0.25, dtype="<f4")
+    frames.view("<u4")[5] = 0x7FA00000
+    float_wav(p, frames)
+    out = tmp_path / "out"
+    build = fresh_python(*warning_flags, "-m", "morphmix.cli", "build",
+                         str(_pairs_file(tmp_path, (p, wav_pair[1]), n=1)), "--out-dir", str(out))
+    report = f"{p}: waveform has a non-finite sample"
+    assert (build.returncode, build.stderr) == (1, f"failed pair0: NonFiniteInput: {report}\n")
+    entry = json.loads((out / "manifest.jsonl").read_text())  # one line
+    assert entry["error"] == f"NonFiniteInput: {report}"
+    assert list((out / "audio").iterdir()) == []
+    embed = fresh_python(*warning_flags, "-m", "morphmix.cli", "embed-mock", str(audio),
+                         "--out-store", str(tmp_path / "store"), "--latents")
+    assert (embed.returncode, embed.stderr) == (1, f"failed snan.wav: {report}\n")
+    assert EmbeddingStore(tmp_path / "store").ids() == []
+
+
+@pytest.mark.parametrize("warning_flags", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["default-filters", "warnings-as-errors"])
 @pytest.mark.parametrize("pair,mode", [("cancelling", "rms"), ("constant-secondary", "spectral")])
 def test_tiny_epsilon_nan_is_reported_once_by_a_fresh_cli(tmp_path, rng, warning_flags, pair,
                                                           mode):
@@ -703,7 +730,7 @@ def test_tiny_epsilon_nan_is_reported_once_by_a_fresh_cli(tmp_path, rng, warning
 
 @pytest.mark.parametrize("name", ["base, v2", 'say "hi"'])
 def test_eval_csv_quotes_the_model_name(tmp_path, rng, capsys, name):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     assert main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path), "--format", "csv", "--model-name", name]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
@@ -712,7 +739,7 @@ def test_eval_csv_quotes_the_model_name(tmp_path, rng, capsys, name):
 
 
 def test_eval_markdown_escapes_a_pipe_in_the_model_name(tmp_path, rng, capsys):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     assert main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path), "--model-name", "a|b"]) == 0
     row = capsys.readouterr().out.splitlines()[2]
@@ -721,33 +748,8 @@ def test_eval_markdown_escapes_a_pipe_in_the_model_name(tmp_path, rng, capsys):
     assert len(re.split(r"(?<!\\)\|", row)) - 2 == 6
 
 
-def _eval_setup(tmp_path, rng, n_clips=3):
-    store = EmbeddingStore(tmp_path / "store")
-    clips = []
-    pooled = []
-    for i in range(n_clips):
-        cid = f"c{i}"
-        vecs = {k: rng.uniform(0.1, 1.0, 8) for k in ("audio", "tx", "ty", "pi", "pr")}
-        for k, v in vecs.items():
-            store.put(f"{cid}.{k}", v[None, :])
-        store.put(f"{cid}.lat", rng.normal(size=(10, 8)))
-        pooled.append(Embedding(vecs["audio"]))
-        clips.append({
-            "clip_id": cid, "audio_id": f"{cid}.audio", "latents_id": f"{cid}.lat",
-            "text_x_id": f"{cid}.tx", "text_y_id": f"{cid}.ty",
-            "prompt_intended_id": f"{cid}.pi", "prompt_reversed_id": f"{cid}.pr",
-        })
-    clips_path = tmp_path / "clips.jsonl"
-    with open(clips_path, "w") as f:
-        for c in clips:
-            f.write(json.dumps(c) + "\n")
-    ref_path = tmp_path / "ref.mxeb"
-    write_gaussian_stats(ref_path, gaussian_stats(pooled))
-    return store, clips_path, ref_path
-
-
 def test_eval_corpus_equals_reference(tmp_path, rng, capsys):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     code = main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path), "--format", "csv"])
     assert code == 0
@@ -756,7 +758,7 @@ def test_eval_corpus_equals_reference(tmp_path, rng, capsys):
 
 
 def test_eval_missing_embedding(tmp_path, rng, capsys):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     with open(clips_path, "a") as f:
         f.write(json.dumps({
             "clip_id": "ghost", "audio_id": "ghost.audio", "latents_id": "ghost.lat",
@@ -770,7 +772,7 @@ def test_eval_missing_embedding(tmp_path, rng, capsys):
 
 
 def test_eval_formats_agree(tmp_path, rng, capsys):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     assert main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path), "--format", "csv"]) == 0
     csv_out = capsys.readouterr().out
@@ -784,7 +786,7 @@ def test_eval_formats_agree(tmp_path, rng, capsys):
 
 
 def test_eval_report_in_missing_directory(tmp_path, rng, capsys):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     out = tmp_path / "nodir" / "r.md"
     assert main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path), "--out", str(out)]) == 1
@@ -794,7 +796,7 @@ def test_eval_report_in_missing_directory(tmp_path, rng, capsys):
 
 @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "5"])
 def test_eval_clips_line_not_an_object(tmp_path, rng, capsys, line):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     clips_path.write_text(line + "\n")
     assert main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path)]) == 2
@@ -802,7 +804,7 @@ def test_eval_clips_line_not_an_object(tmp_path, rng, capsys, line):
 
 
 def test_eval_asymmetric_reference_is_usage_error(tmp_path, rng, capsys):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     cov = np.eye(8)
     cov[0, 1], cov[1, 0] = 5.0, -3.0
     write_mxeb(ref_path, np.vstack([np.zeros((1, 8)), cov]))
@@ -825,7 +827,7 @@ def _eval_argv(store, clips_path, ref_path, *flags):
 
 
 def test_eval_indefinite_reference_is_usage_error(tmp_path, rng, capsys):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     _write_indefinite_reference(ref_path)
     assert main(_eval_argv(store, clips_path, ref_path)) == 2
     cap = capsys.readouterr()
@@ -835,7 +837,7 @@ def test_eval_indefinite_reference_is_usage_error(tmp_path, rng, capsys):
 
 def test_eval_indefinite_reference_fails_before_any_clip_is_scored(tmp_path, rng, capsys):
     # 12 clips in D = 8 give a full-rank pooled fit, so the FAD arithmetic would see the -1
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng, n_clips=12)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng, n_clips=12)
     _write_indefinite_reference(ref_path)
     with mock.patch.object(evaluate, "score_clip", wraps=evaluate.score_clip) as score_clip:
         assert main(_eval_argv(store, clips_path, ref_path)) == 2
@@ -846,7 +848,7 @@ def test_eval_indefinite_reference_fails_before_any_clip_is_scored(tmp_path, rng
 
 
 def test_eval_rank_deficient_float32_reference_scores_as_before(tmp_path, rng, capsys):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     # 5 samples in D = 8: rank 4, and float32 round-off leaves eigenvalues just below 0
     fit = gaussian_stats([Embedding(rng.uniform(0.1, 1.0, 8)) for _ in range(5)])
     write_gaussian_stats(ref_path, fit)
@@ -910,7 +912,7 @@ def test_build_audio_path_that_cannot_name_a_file_fails_its_pair(tmp_path, name)
 
 @pytest.mark.parametrize("fmt", ["csv", "markdown"])
 def test_eval_model_name_that_is_not_utf8_writes_no_report(tmp_path, rng, capsys, fmt):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     before = file_tree(tmp_path)
     # a command-line byte that is not UTF-8 reaches Python as a lone surrogate
     assert main(["eval", str(clips_path), "--store", str(store.root), "--reference",
@@ -956,7 +958,7 @@ def test_embed_mock_audio_dir_that_does_not_exist_is_usage_error(tmp_path, capsy
 
 @pytest.mark.parametrize("entry", ["c1.audio", "c1.lat", "c1.pr"])
 def test_eval_non_finite_entry_excludes_clip(tmp_path, rng, capsys, entry):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     rows = 10 if entry.endswith(".lat") else 1
     data = np.ones((rows, 8))
     data[0, 2] = np.nan
@@ -969,7 +971,7 @@ def test_eval_non_finite_entry_excludes_clip(tmp_path, rng, capsys, entry):
 
 
 def test_eval_vanished_entry_file_excludes_clip(tmp_path, rng, capsys):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     (store.root / "c0.tx.mxeb").unlink()
     assert main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path), "--format", "csv"]) == 0
@@ -977,7 +979,7 @@ def test_eval_vanished_entry_file_excludes_clip(tmp_path, rng, capsys):
 
 
 def test_eval_malformed_store_index(tmp_path, rng, capsys):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     (store.root / "index.json").write_text("{not json")
     assert main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path)]) == 2
@@ -986,7 +988,7 @@ def test_eval_malformed_store_index(tmp_path, rng, capsys):
 
 
 def test_eval_unreadable_store_index_is_usage_error(tmp_path, rng, capsys):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     index = store.root / "index.json"
     index.unlink()
     index.mkdir()
@@ -999,7 +1001,7 @@ def test_eval_unreadable_store_index_is_usage_error(tmp_path, rng, capsys):
 
 @pytest.mark.parametrize("kind", ["missing", "file", "empty directory"])
 def test_eval_store_that_is_not_a_directory_is_usage_error(tmp_path, rng, capsys, kind):
-    _, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    _, clips_path, ref_path = eval_inputs(tmp_path, rng)
     store_path = tmp_path / "other"
     if kind == "file":
         store_path.write_text("a file")
@@ -1017,7 +1019,7 @@ def test_eval_store_that_is_not_a_directory_is_usage_error(tmp_path, rng, capsys
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eval_non_finite_reference_is_usage_error(tmp_path, rng, capsys, bad):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     write_mxeb(ref_path, np.full((9, 8), bad))
     assert main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path)]) == 2
@@ -1028,7 +1030,7 @@ def test_eval_non_finite_reference_is_usage_error(tmp_path, rng, capsys, bad):
 
 @pytest.mark.parametrize("rows_cols", [(65536, 65536), (0xFFFFFFFF, 0xFFFFFFFF)])
 def test_eval_huge_entry_header_excludes_clip(tmp_path, rng, capsys, rows_cols):
-    store, clips_path, ref_path = _eval_setup(tmp_path, rng)
+    store, clips_path, ref_path = eval_inputs(tmp_path, rng)
     (store.root / "c1.audio.mxeb").write_bytes(b"MXEB\x01" + struct.pack("<II", *rows_cols))
     assert main(["eval", str(clips_path), "--store", str(store.root),
                  "--reference", str(ref_path), "--format", "csv"]) == 0
@@ -1060,7 +1062,7 @@ def _write_inputs(root):
         "seed": 7, "augment_params": {"rms_frame_size": 1024, "rms_hop": 256},
         "mode_distribution": {"rms": 0.25, "spectral": 0.25, "both": 0.5},
         "timestep_window": {"t_start": 0.5, "t_end": 1.0}}))
-    _eval_setup(root, rng)
+    eval_inputs(root, rng)
 
 
 def _argv(command, root):
@@ -1076,9 +1078,12 @@ def _argv(command, root):
 
 
 def _edit(path, change):
-    """Replace a file's text (str), update its first JSON object (dict), or make it a directory."""
+    """Replace a file's bytes (bytes) or text (str), update its first JSON object (dict), or
+    make it a directory."""
     if change is None:
         path.mkdir()
+    elif isinstance(change, bytes):
+        path.write_bytes(change)
     elif isinstance(change, str):
         path.write_text(change)
     else:
@@ -1175,6 +1180,14 @@ EXIT_CASES = {
                                     "clips.jsonl:1: "),
     "clips line that is not an object": ("eval", "clips.jsonl", "[1]\n", [], 2,
                                          "clips.jsonl:1: not a JSON object"),
+    "config that is not UTF-8": ("build", "config.json", b"{\xff}", [], 2,
+                                 "config.json: not UTF-8 text"),
+    "pairs file that is not UTF-8": ("build", "pairs.jsonl", b"\xff\n", [], 2,
+                                     "pairs.jsonl: not UTF-8 text"),
+    "clips file that is not UTF-8": ("eval", "clips.jsonl", b"\xff\n", [], 2,
+                                     "clips.jsonl: not UTF-8 text"),
+    "store index that is not UTF-8": ("eval", "store/index.json", b"\xff", [], 2,
+                                      "index.json: not UTF-8 text"),
 }
 
 

@@ -33,7 +33,7 @@ from morphmix.dataset import (
 from morphmix.dsp import AugmentParams, AugmentationMode
 from morphmix.evaluate import load_eval_clips
 
-from conftest import HalfWriter, file_tree, float_wav, random_wave
+from conftest import HalfWriter, file_tree, float_wav, fresh_python, random_wave
 
 THREE_WAY = ModeDistribution(1 / 3, 1 / 3, 1 / 3, 0.0)
 
@@ -216,6 +216,20 @@ def test_build_reproducible_and_parallel_invariant(tmp_path):
         assert (dirs[0] / "manifest.jsonl").read_bytes() == (other / "manifest.jsonl").read_bytes()
         for wav in sorted((dirs[0] / "audio").glob("*.wav")):
             assert wav.read_bytes() == (other / "audio" / wav.name).read_bytes()
+
+
+def test_fresh_build_with_two_jobs_records_each_pairs_seed(tmp_path):
+    # pair_seed imports hashlib on its first call, so in a fresh interpreter the two
+    # workers' first pairs race through that import
+    pairs = _write_corpus(tmp_path, 8, n_samples=4000)
+    pairs_path = tmp_path / "pairs.jsonl"
+    pairs_path.write_text("".join(json.dumps(dataclasses.asdict(p)) + "\n" for p in pairs))
+    out = tmp_path / "out"
+    build = fresh_python("-m", "morphmix.cli", "build", str(pairs_path), "--out-dir", str(out),
+                         "--seed", "9", "--jobs", "2")
+    assert (build.returncode, build.stderr) == (0, "")
+    assert [(e.id, e.seed) for e in load_manifest(out / "manifest.jsonl")] == [
+        (p.id, pair_seed(9, p.id)) for p in pairs]
 
 
 def test_build_partial_failure(tmp_path):

@@ -1,17 +1,19 @@
 """Every name a module of src/morphmix imports is used in that module, every
 private module-level helper is read somewhere in src/morphmix, only errors.py
-reads, writes, makes, renames or deletes a file or directory, and the CLI runs
-without scipy.
+reads, writes, makes, renames or deletes a file or directory, the CLI runs
+without scipy, and eval and embed-mock run without OpenSSL.
 
 No linter runs on this code, so a deletion can leave a dead import or helper behind.
 """
 
 import ast
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import run_python
+from conftest import eval_inputs, float_wav, run_python
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "morphmix"
 
@@ -114,7 +116,8 @@ OS_FUNCTIONS = {"makedirs", "replace", "rename", "remove"}
 def file_system_calls(source):
     """The line numbers of the calls in source that open, read, write, make, rename or
     delete a file or directory: open and FileIO, a FILE_METHODS method or an
-    OS_FUNCTIONS function of os. A bare read_bytes(p) is errors' reader, not a path's."""
+    OS_FUNCTIONS function of os. A bare read_bytes(p) or read_text(p) is errors' reader,
+    not a path's."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -161,3 +164,28 @@ def test_only_errors_reads_files_and_makes_directories():
 # spectra, but importing it added about 21 MB of peak RSS and 0.25 s to every command
 def test_the_cli_does_not_import_scipy():
     assert run_python("import sys, morphmix.cli; print('scipy' in sys.modules)") == "False\n"
+
+
+# only build hashes (hashlib loads OpenSSL's libcrypto, 3.6 MB resident), and only build
+# and embed-mock start threads (concurrent.futures loads logging too)
+def test_eval_and_embed_mock_load_neither_openssl_nor_the_thread_pool(tmp_path):
+    eval_inputs(tmp_path, np.random.default_rng(0))
+    (tmp_path / "clips").mkdir()
+    float_wav(tmp_path / "clips" / "a.wav", np.linspace(-0.5, 0.5, 24000))
+    eval_argv = ["eval", tmp_path / "clips.jsonl", "--store", tmp_path / "store",
+                 "--reference", tmp_path / "ref.mxeb", "--out", tmp_path / "report.md"]
+    embed_argv = ["embed-mock", tmp_path / "clips", "--out-store", tmp_path / "embedded",
+                  "--latents"]
+    code = f"""
+import json, sys
+from morphmix import cli
+def loaded():
+    return [m for m in ("_hashlib", "concurrent.futures") if m in sys.modules]
+seen = {{"import": loaded()}}
+seen["eval"] = (cli.main({[str(a) for a in eval_argv]!r}), loaded())
+seen["embed-mock"] = (cli.main({[str(a) for a in embed_argv]!r}), loaded())
+print(json.dumps(seen))
+"""
+    seen = json.loads(run_python(code).splitlines()[-1])
+    assert seen["import"] == [] and seen["eval"] == [0, []]
+    assert seen["embed-mock"][0] == 0 and "_hashlib" not in seen["embed-mock"][1]
