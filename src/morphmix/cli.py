@@ -11,13 +11,14 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import dataset, evaluate, metrics, store
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
-from .errors import MorphmixError, TooShort, make_dirs, read_text, write_atomic
+from .errors import BadFormat, MorphmixError, TooShort, make_dirs, read_text, record, write_atomic
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -30,17 +31,11 @@ class UsageError(Exception):
 
 @contextlib.contextmanager
 def _reading_inputs():
-    """Turn any error raised while reading or checking inputs into a UsageError."""
+    """Turn a bad input's MorphmixError into a UsageError; any other error is a bug."""
     try:
         yield
-    except (MorphmixError, ValueError, OSError, TypeError, KeyError, OverflowError) as e:
+    except MorphmixError as e:
         raise UsageError(str(e)) from e
-
-
-def _require_files(*paths):
-    for path in paths:
-        if not Path(path).exists():
-            raise UsageError(f"file not found: {path}")
 
 
 def _require_utf8(flag, text):
@@ -51,22 +46,31 @@ def _require_utf8(flag, text):
 
 
 def load_config(args):
-    """The --config JSON object's typed values; AugmentParams checks its merge with the flags."""
+    """The --config JSON object's typed values; AugmentParams checks its merge with the
+    flags. BadFormat names the config path, and the section of a record it rejects."""
     raw = {}
     if args.config:
-        raw = json.loads(read_text(args.config))
+        raw = record(args.config, json.loads, read_text(args.config))
         if not isinstance(raw, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-    params = AugmentParams(**{**raw.get("augment_params", {}), **{
+            raise BadFormat(f"{args.config}: config must be a JSON object")
+        unknown = raw.keys() - {"seed", "augment_params", "mode_distribution", "timestep_window"}
+        if unknown:
+            raise BadFormat(f"{args.config}: unknown key {min(unknown)!r}")
+
+    def section(name, make, flags):
+        where = f"{args.config}: {name}" if args.config else name
+        # a section that is not a mapping fails inside record, as a bad field does
+        return record(where, lambda: make(**{**raw.get(name, {}), **flags}))
+
+    params = section("augment_params", AugmentParams, {
         f.name: getattr(args, f.name) for f in dataclasses.fields(AugmentParams)
         if getattr(args, f.name) is not None
-    }})
-    dist = dataset.ModeDistribution(**raw.get("mode_distribution", {}))
-    window = dataset.TimestepWindow(**raw.get("timestep_window", {}))
+    })
+    dist = section("mode_distribution", dataset.ModeDistribution, {})
+    window = section("timestep_window", dataset.TimestepWindow, {})
     seed = raw.get("seed", 0)
-    # int() raises OverflowError for 1e400 and ValueError for NaN
-    if isinstance(seed, bool) or not isinstance(seed, (int, float)) or int(seed) != seed:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not (type(seed) is int or type(seed) is float and seed.is_integer()):  # not JSON true
+        raise BadFormat(f"{args.config}: seed must be an integer, got {seed!r}")
     return params, dist, window, int(seed)
 
 
@@ -78,7 +82,9 @@ def _add_param_flags(parser):
 
 def cmd_augment(args):
     with _reading_inputs():
-        _require_files(args.primary, args.secondary)
+        for path in (args.primary, args.secondary):
+            if not os.path.exists(path):  # os.path: pathlib raises OSError for a long name
+                raise UsageError(f"file not found: {path}")
         params = load_config(args)[0]
         mode = AugmentationMode(args.mode)
         caption = dataset.caption_for(mode, args.primary_label, args.secondary_label)
@@ -131,7 +137,7 @@ def _embed_clip(wav_path, dim, latent_dim):
 def cmd_embed_mock(args):
     audio_dir = Path(args.audio_dir)
     with _reading_inputs():
-        if not audio_dir.is_dir():
+        if not os.path.isdir(audio_dir):
             raise UsageError(f"not a directory: {args.audio_dir}")
         for flag, value in (("--dim", args.dim), ("--latent-dim", args.latent_dim)):
             if value < 1:
@@ -181,11 +187,11 @@ def cmd_embed_mock(args):
 def cmd_eval(args):
     with _reading_inputs():
         clips = evaluate.load_eval_clips(args.clips)
-        if not Path(args.store).is_dir():  # a missing store is not an empty one
+        if not os.path.isdir(args.store):  # a missing store is not an empty one
             raise UsageError(f"not a directory: {args.store}")
         emb_store = store.EmbeddingStore(args.store)
         reference = store.read_gaussian_stats(args.reference)
-        params = metrics.DirectionalityParams(temperature=args.temperature)
+        params = record("--temperature", metrics.DirectionalityParams, args.temperature)
         if "\r" in args.model_name or "\n" in args.model_name:
             # a report row is one line in both formats
             raise UsageError(f"--model-name must be one line, got {args.model_name!r}")

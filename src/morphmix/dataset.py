@@ -17,8 +17,8 @@ import numpy as np
 
 from .audio_io import load_wav, save_wav, to_mono
 from .dsp import AugmentationMode, AugmentParams, augment_pair
-from .errors import (BadId, EmptyLabel, InvalidDistribution, MorphmixError, check_fields,
-                     check_id, make_dirs, read_text, write_atomic)
+from .errors import (BadFormat, BadId, EmptyLabel, InvalidDistribution, MorphmixError,
+                     check_fields, check_id, make_dirs, read_text, record, write_atomic)
 
 CAPTION_TEMPLATES = {
     AugmentationMode.RMS_ONLY: "The behavior of {x} with textures from {x} and {y}",
@@ -96,8 +96,9 @@ class ManifestEntry:
     def from_dict(cls, d):
         """Inverse of to_dict; keys that are not fields are ignored, a missing error is ""."""
         kw = {f.name: d[f.name] for f in dataclasses.fields(cls) if f.name in d}
-        kw.update(mode=AugmentationMode(d["mode"]), window=TimestepWindow(**d["window"]),
-                  params=AugmentParams(**d["params"]))
+        if {"mode", "window", "params"} <= kw.keys():  # else the constructor names what is missing
+            kw.update(mode=AugmentationMode(kw["mode"]), window=TimestepWindow(**kw["window"]),
+                      params=AugmentParams(**kw["params"]))
         return cls(**kw)
 
 
@@ -139,55 +140,51 @@ def sample_training_timestep(rng, entry):
     return float(w.t_start + (w.t_end - w.t_start) * rng.random())
 
 
-def read_jsonl(path):
-    """The objects of a JSON-lines file, one per non-blank line: read_text's errors, and
-    ValueError naming path:line for a line that is not a JSON object."""
+def read_jsonl(path, make=dict):
+    """make(**object) for the JSON object on each non-blank line of a JSON-lines file;
+    BadFormat naming path:line for a line that is not one or that make rejects."""
     # newline=None: a \r or \r\n ends a line, as in a file opened as text, but U+2028 does not
     lines = io.StringIO(read_text(path), newline=None)
     records = []
     for n, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except ValueError as e:
-            raise ValueError(f"{path}:{n}: {e}") from e
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}:{n}: not a JSON object")
-        records.append(record)
+        where = f"{path}:{n}"
+        fields = record(where, json.loads, line)
+        if not isinstance(fields, dict):
+            raise BadFormat(f"{where}: not a JSON object")
+        records.append(record(where, make, **fields))
     return records
 
 
 def load_pairs(path):
-    """Read a JSON-lines file of PairSpec objects; check_pair_ids checks their fields."""
-    return [PairSpec(**d) for d in read_jsonl(path)]
+    """The PairSpecs of a JSON-lines file, whose keys are their fields; check_pair checks each."""
+    return read_jsonl(path, lambda **fields: check_pair(PairSpec(**fields)))
+
+
+def check_pair(pair):
+    """pair, if its paths are str or os.PathLike (BadFormat: an int is a file descriptor),
+    its id a str or int that can name audio/<id>.wav (BadId), its labels non-empty (EmptyLabel)."""
+    if not all(isinstance(p, (str, os.PathLike)) for p in (pair.primary_path, pair.secondary_path)):
+        raise BadFormat(f"pair {pair.id!r}: audio paths must be strings or os.PathLike")
+    if isinstance(pair.id, bool) or not isinstance(pair.id, (str, int)):
+        raise BadId(f"pair id {pair.id!r} is not a string or an integer")
+    check_id(pair.id)
+    try:
+        str(pair.id).encode("utf-8")  # pair_seed hashes these bytes
+    except UnicodeEncodeError:
+        raise BadId(f"pair id {pair.id!r} is not UTF-8 text") from None
+    for label in (pair.primary_label, pair.secondary_label):
+        if not (isinstance(label, str) and label):
+            raise EmptyLabel(f"pair {pair.id!r}: label {label!r} is not a non-empty string")
+    return pair
 
 
 def check_pair_ids(pairs):
-    """Raise TypeError for an audio path that is neither a str nor os.PathLike, BadId
-    for a pair id that is not a string or an int, is not one path component, is
-    not UTF-8 text or repeats, and EmptyLabel for a label that is not a non-empty
-    string.
-
-    Each id names audio/<id>.wav, so a repeated id would overwrite an
-    earlier pair's WAV and a path id would write outside audio/; an int
-    audio path would be opened, and closed, as a file descriptor.
-    """
+    """check_pair for each pair, and BadId for an id that repeats: it names one WAV."""
     seen = set()
     for pair in pairs:
-        if not all(isinstance(p, (str, os.PathLike))
-                   for p in (pair.primary_path, pair.secondary_path)):
-            raise TypeError(f"pair {pair.id!r}: audio paths must be strings or os.PathLike")
-        if isinstance(pair.id, bool) or not isinstance(pair.id, (str, int)):
-            raise BadId(f"pair id {pair.id!r} is not a string or an integer")
-        check_id(pair.id)
-        try:
-            str(pair.id).encode("utf-8")  # pair_seed hashes these bytes
-        except UnicodeEncodeError:
-            raise BadId(f"pair id {pair.id!r} is not UTF-8 text") from None
-        for label in (pair.primary_label, pair.secondary_label):
-            if not (isinstance(label, str) and label):
-                raise EmptyLabel(f"pair {pair.id!r}: label {label!r} is not a non-empty string")
+        check_pair(pair)
         if str(pair.id) in seen:  # ids 5 and "5" both name audio/5.wav
             raise BadId(f"pair id {pair.id!r} appears more than once")
         seen.add(str(pair.id))
@@ -249,4 +246,4 @@ def build_dataset(pairs, dist, window, params, seed, out_dir, jobs=1):
 
 
 def load_manifest(path):
-    return [ManifestEntry.from_dict(d) for d in read_jsonl(path)]
+    return read_jsonl(path, lambda **fields: ManifestEntry.from_dict(fields))

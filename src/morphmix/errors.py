@@ -1,12 +1,14 @@
-"""Exception hierarchy shared across the package, the id and record field checks,
-and the package's only file-system calls: the whole-file reads, the atomic write and
-the directory make behind IoFailure."""
+"""Exception hierarchy shared across the package, the id and record checks, and the
+package's only file-system calls: the whole-file reads, the atomic write and the
+directory make behind IoFailure."""
 
 import contextlib
 import dataclasses
 import io
 import math
+import numbers
 import os
+import sys
 from pathlib import Path
 
 
@@ -121,7 +123,7 @@ class TooShort(MorphmixError):
 # --- store / evaluator ---
 
 class BadFormat(MorphmixError):
-    """MXEB file or store index malformed, or a text file that is not UTF-8."""
+    """A malformed input file or record, named by its path (and line), or not UTF-8 text."""
 
 
 class MissingEmbedding(MorphmixError):
@@ -149,16 +151,25 @@ def check_id(entry_id):
 
 
 def check_fields(record):
-    """TypeError for an int or str field of another type or a bool in an int or float
-    field, ValueError for a non-finite float."""
+    """TypeError for an int, str or float field of another type (a bool is none of them;
+    any real is a float), ValueError for a NaN, infinite or too large float field."""
     for f in dataclasses.fields(record):
         value = getattr(record, f.name)
-        # JSON true is not a number
-        bool_number = f.type in (int, float) and isinstance(value, bool)
-        if bool_number or (f.type in (int, str) and not isinstance(value, f.type)):
+        kind = numbers.Real if f.type is float else f.type
+        if f.type in (int, str, float) and (isinstance(value, bool) or not isinstance(value, kind)):
             raise TypeError(f"{f.name} must be {f.type.__name__}, got {value!r}")
-        if f.type is float and not math.isfinite(value):
+        big = isinstance(value, int) and abs(value) > sys.float_info.max  # isfinite overflows
+        if f.type is float and (big or not math.isfinite(value)):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
+def record(where, make, /, *args, **fields):
+    """make(*args, **fields), such as a record that checks itself or parsed JSON; its
+    TypeError, ValueError or MorphmixError becomes BadFormat naming where it came from."""
+    try:
+        return make(*args, **fields)
+    except (TypeError, ValueError, MorphmixError) as e:
+        raise BadFormat(f"{where}: {e}") from e
 
 
 def read_bytes(path):
@@ -174,10 +185,7 @@ def read_bytes(path):
 def read_text(path):
     """The UTF-8 text of the file at path; IoFailure if it cannot be read, BadFormat
     naming path if its bytes are not UTF-8."""
-    try:
-        return read_bytes(path).decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise BadFormat(f"{path}: not UTF-8 text: {e}") from e
+    return record(f"{path}: not UTF-8 text", bytes.decode, read_bytes(path), "utf-8")
 
 
 def write_atomic(path, *chunks):

@@ -1,7 +1,6 @@
 """Corpus evaluation: prompt expansion, per-clip scoring, report rendering."""
 
 import csv
-import dataclasses
 import functools
 import io
 from dataclasses import dataclass
@@ -65,10 +64,6 @@ class EvalClip:
     def __post_init__(self):
         check_fields(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)})
-
 
 @dataclass(frozen=True)
 class EvalRow:
@@ -101,11 +96,11 @@ def bundled_concept_pairs():
     """
     data = resources.files("morphmix").joinpath("data/concept_pairs.jsonl")
     with resources.as_file(data) as path:
-        return [ConceptPair(d["x_label"], d["y_label"]) for d in read_jsonl(path)]
+        return read_jsonl(path, ConceptPair)
 
 
 def load_eval_clips(path):
-    return [EvalClip.from_dict(d) for d in read_jsonl(path)]
+    return read_jsonl(path, EvalClip)
 
 
 def score_clip(clip, store, params=DirectionalityParams(), *, shared):

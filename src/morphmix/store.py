@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadFormat, BadId, MissingEmbedding, MorphmixError, check_id, make_dirs,
-                     read_bytes, read_text, write_atomic)
+from .errors import (BadFormat, BadId, IoFailure, MissingEmbedding, check_id, make_dirs,
+                     read_bytes, read_text, record, write_atomic)
 from .metrics import Embedding, GaussianStats, LatentMatrix
 
 MAGIC = b"MXEB"
@@ -51,22 +51,15 @@ def read_mxeb(path):
         return values.astype(np.float64).reshape(t, d)
 
 
-def _record(path, make, *arrays):
-    try:
-        return make(*arrays)
-    except (ValueError, MorphmixError) as e:  # the record owns its rules; a read names the file
-        raise BadFormat(f"{path}: {e}") from None
-
-
 def read_embedding(path):
     m = read_mxeb(path)
     if len(m) != 1:  # Embedding flattens its input, so only the reader sees rows
         raise BadFormat(f"{path}: an embedding needs 1 row, got {len(m)}")
-    return _record(path, Embedding, m[0])
+    return record(path, Embedding, m[0])
 
 
 def read_latents(path):
-    return _record(path, LatentMatrix, read_mxeb(path))
+    return record(path, LatentMatrix, read_mxeb(path))
 
 
 def write_gaussian_stats(path, stats):
@@ -81,7 +74,7 @@ def read_gaussian_stats(path):
     GaussianStats' default count, 2.
     """
     m = read_mxeb(path)
-    return _record(path, GaussianStats, m[:1], m[1:])
+    return record(path, GaussianStats, m[:1], m[1:])
 
 
 class EmbeddingStore:
@@ -96,11 +89,12 @@ class EmbeddingStore:
         self._lines = {}
         self._batch_depth = 0
         index_path = self.root / self.INDEX
-        if index_path.exists():
-            try:
-                index = json.loads(read_text(index_path))
-            except ValueError as e:  # not JSON, or an int past 4,300 digits
-                raise BadFormat(f"{index_path}: not a JSON index: {e}") from e
+        try:  # exists() raises OSError for a path too long or a directory it cannot search
+            indexed = index_path.exists()
+        except OSError as e:
+            raise IoFailure(f"{index_path}: {e}") from e
+        if indexed:
+            index = record(f"{index_path}: not a JSON index", json.loads, read_text(index_path))
             entries = index.get("entries") if isinstance(index, dict) else None
             if not (isinstance(entries, dict)
                     and all(isinstance(name, str) for name in entries.values())):

@@ -1096,7 +1096,8 @@ EXIT_CASES = {
     "config not an object": ("build", "config.json", "[1]", [], 2, "must be a JSON object"),
     "augment config not an object": ("augment", "config.json", "[1]", [], 2,
                                      "must be a JSON object"),
-    "seed overflows": ("build", "config.json", '{"seed": 1e400}', [], 2, "infinity"),
+    "seed overflows": ("build", "config.json", '{"seed": 1e400}', [], 2,
+                       "config.json: seed must be an integer, got inf"),
     "null audio path": ("build", "pairs.jsonl", {"primary_path": None}, [], 2,
                         "audio paths must be strings"),
     "numeric audio path": ("build", "pairs.jsonl", {"secondary_path": 0}, [], 2,
@@ -1188,6 +1189,46 @@ EXIT_CASES = {
                                      "clips.jsonl: not UTF-8 text"),
     "store index that is not UTF-8": ("eval", "store/index.json", b"\xff", [], 2,
                                       "index.json: not UTF-8 text"),
+    "pairs line without a field": ("build", "pairs.jsonl",
+                                   '{"id": "p0", "primary_path": "p.wav", "primary_label": "a", '
+                                   '"secondary_path": "s.wav"}\n', [], 2,
+                                   "pairs.jsonl:1: PairSpec.__init__() missing 1 required "
+                                   "positional argument: 'secondary_label'"),
+    "pairs line with an extra key": ("build", "pairs.jsonl", {"gain": 2}, [], 2,
+                                     "pairs.jsonl:1: PairSpec.__init__() got an unexpected "
+                                     "keyword argument 'gain'"),
+    "clips line without a field": ("eval", "clips.jsonl",
+                                   '{"clip_id": "c0", "audio_id": "c0.audio", '
+                                   '"text_x_id": "c0.tx", "text_y_id": "c0.ty", '
+                                   '"prompt_intended_id": "c0.pi", '
+                                   '"prompt_reversed_id": "c0.pr"}\n', [], 2,
+                                   "clips.jsonl:1: EvalClip.__init__() missing 1 required "
+                                   "positional argument: 'latents_id'"),
+    "clips line with an extra key": ("eval", "clips.jsonl", {"note": "x"}, [], 2,
+                                     "clips.jsonl:1: EvalClip.__init__() got an unexpected "
+                                     "keyword argument 'note'"),
+    "numeric audio id": ("eval", "clips.jsonl", {"audio_id": 5}, [], 2,
+                        "clips.jsonl:1: audio_id must be str, got 5"),
+    "misspelt parameter": ("build", "config.json", '{"augment_params": {"rms_hopp": 4}}', [], 2,
+                           "config.json: augment_params: AugmentParams.__init__() got an "
+                           "unexpected keyword argument 'rms_hopp'"),
+    "parameters not an object": ("augment", "config.json", '{"augment_params": 3}', [], 2,
+                                 "config.json: augment_params: 'int' object is not a mapping"),
+    "config that is not JSON": ("build", "config.json", "{not json", [], 2,
+                                "config.json: Expecting property name"),
+    "misspelt config section": ("build", "config.json",
+                                '{"mode_distributon": {"rms": 0.5, "spectral": 0.5, '
+                                '"both": 0.0}}', [], 2,
+                                "config.json: unknown key 'mode_distributon'"),
+    "unknown config key": ("augment", "config.json", '{"bogus": 1}', [], 2,
+                           "config.json: unknown key 'bogus'"),
+    "string mode probability": ("build", "config.json", '{"mode_distribution": {"rms": "x"}}',
+                                [], 2, "config.json: mode_distribution: rms must be float, "
+                                       "got 'x'"),
+    "store name too long": ("eval", None, None, ["--store", "s" * 300], 2,
+                            "not a directory: sss"),
+    "window past 1": ("build", "config.json", '{"timestep_window": {"t_end": 2}}', [], 2,
+                      "config.json: timestep_window: need 0 <= t_start < t_end <= 1"),
 }
 
 
@@ -1202,8 +1243,18 @@ def test_bad_input_exit_code(tmp_path, capsys, case):
     cap = capsys.readouterr()
     assert cap.err.startswith("error: ") and len(cap.err.splitlines()) == 1
     assert text in cap.err
+    if name in ("pairs.jsonl", "clips.jsonl", "config.json"):  # the error names the file
+        assert cap.err.startswith(f"error: {tmp_path / name}:")
     assert cap.out == ""
     assert file_tree(tmp_path) == before
+
+
+def test_a_fault_of_the_program_while_reading_inputs_is_not_a_usage_error(tmp_path):
+    # only a MorphmixError is a bad input; anything else is a bug, and propagates
+    _write_inputs(tmp_path)
+    with mock.patch.object(cli.dataset, "load_pairs", side_effect=KeyError("id")), \
+            pytest.raises(KeyError, match="id"):
+        main([str(a) for a in _argv("build", tmp_path)])
 
 
 @pytest.mark.parametrize("command, name", [("build", "pairs.jsonl"), ("eval", "clips.jsonl"),

@@ -387,8 +387,29 @@ def test_read_jsonl_ends_a_line_at_each_newline_but_not_at_u2028(tmp_path, end):
 def test_read_jsonl_names_the_path_and_line_of_a_bad_line(tmp_path, line, text):
     path = tmp_path / "a.jsonl"
     path.write_text(f'{{"a": 1}}\n\n{line}\n{{"a": 2}}\n', encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {text}"):
+    with pytest.raises(errors.BadFormat, match=f"^{re.escape(str(path))}:3: {text}"):
         read_jsonl(path)
+
+
+@pytest.mark.parametrize("edit, text", [
+    ({"mode": "loud"}, "'loud' is not a valid AugmentationMode"),
+    ({"window": 3}, "must be a mapping, not int"),
+    ({"params": {"rms_hopp": 4}}, "unexpected keyword argument 'rms_hopp'"),
+    ({"window": {"t_end": 2.0}}, "need 0 <= t_start < t_end <= 1"),
+    ("mode", "missing 1 required positional argument: 'mode'"),  # a key to delete
+    ("params", "missing 1 required positional argument: 'params'"),
+])
+def test_load_manifest_names_the_path_and_line_of_a_bad_entry(tmp_path, edit, text):
+    d = _entry().to_dict()
+    if isinstance(edit, str):
+        del d[edit]
+    else:
+        d.update(edit)
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(_entry().to_dict()) + "\n" + json.dumps(d) + "\n")
+    where = re.escape(f"{path}:2: ")
+    with pytest.raises(errors.BadFormat, match=f"^{where}.*{re.escape(text)}"):
+        load_manifest(path)
 
 
 def test_pair_rng_stable_across_processes():
@@ -424,7 +445,7 @@ def test_build_dataset_rejects_a_file_descriptor_path(tmp_path):
     fd = os.open(tmp_path / "keep", os.O_RDWR | os.O_CREAT)
     try:
         pairs = [PairSpec("x", fd, "dog", p0.secondary_path, "horn")]
-        with pytest.raises(TypeError, match="audio paths must be strings"):
+        with pytest.raises(errors.BadFormat, match="audio paths must be strings"):
             build_dataset(pairs, THREE_WAY, TimestepWindow(), AugmentParams(), 5, tmp_path / "out")
         assert not (tmp_path / "out").exists()
         os.fstat(fd)  # still open

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import os
 import struct
 import tempfile
 import warnings
@@ -433,6 +434,19 @@ def test_unreadable_index_is_io_failure(tmp_path):
     (tmp_path / "index.json").mkdir()
     with pytest.raises(errors.IoFailure, match="index.json: .*Is a directory"):
         EmbeddingStore(tmp_path)
+
+
+def test_index_that_cannot_be_looked_up_is_io_failure(tmp_path):
+    # the store directory's path fits in PATH_MAX but its index.json's does not, so
+    # Path.exists raises OSError (ENAMETOOLONG) where a missing index is an empty store
+    target = os.pathconf("/", "PC_PATH_MAX") - len("/index.json") + 5
+    root = tmp_path
+    while len(str(root)) + 251 < target:
+        root /= "d" * 250
+    root /= "e" * (target - len(str(root)) - 1)
+    root.mkdir(parents=True)
+    with pytest.raises(errors.IoFailure, match="index.json: .*File name too long"):
+        EmbeddingStore(root)
 
 
 @pytest.mark.parametrize("name", ["\\ud800.mxeb", "a\\udfff"])
